@@ -47,11 +47,11 @@ verify-corpus:
 bench:
 	$(PYTHON) -m repro bench --jobs 4
 
-# The CI smoke lane: Livermore only, tighter solver budget, then a
-# warn-only comparison against the committed baseline.
+# The CI smoke lane: livermore + recbound, tighter solver budget, then a
+# warn-only comparison against the committed baseline (CI adds --strict).
 bench-quick:
 	$(PYTHON) -m repro bench --quick --jobs 4
-	$(PYTHON) benchmarks/check_regression.py
+	$(PYTHON) -m repro diff benchmarks/baseline benchmarks/output
 
 # Refresh the committed baseline from a clean (uncached) quick run.  Run
 # after intentional scheduler changes; commit the result and mention the

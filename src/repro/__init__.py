@@ -59,7 +59,7 @@ from .ir import (
     unroll,
 )
 from .machine import MachineDescription, r8000, single_issue, two_wide
-from .most import MostOptions, MostResult, most_pipeline_loop
+from .most import MostOptions, most_pipeline_loop
 from .pipeline import emit_pipelined_code, pipeline_overhead
 from .rau import RauOptions, RauResult, rau_pipeline_loop
 from .regalloc import allocate_schedule, rename_kernel
@@ -79,7 +79,6 @@ __all__ = [
     "MachineDescription",
     "MemRef",
     "MostOptions",
-    "MostResult",
     "OpClass",
     "Operation",
     "PipelineResult",

@@ -240,33 +240,25 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
         out.schedule_seconds = result.stats.seconds
         out.order_name = result.order_name
         out.spill_rounds = result.spill_rounds
-    elif cell.scheduler == "most":
+    elif cell.scheduler in ("most", "portfolio"):
+        # Both optimal pipeliners run the portfolio's II walk and return
+        # its result type; only their options and race differ.
         from ..most.scheduler import MostOptions, most_pipeline_loop
-
-        result = most_pipeline_loop(
-            loop, machine, MostOptions.from_dict(options), verify=cell.verify
-        )
-        out.schedule_seconds = result.stats.seconds
-        out.fallback = result.fallback_used
-        out.optimal = result.optimal
-        if result.fallback_used and result.fallback_result is not None:
-            # MOST never spills; any spilling happened inside its heuristic
-            # fallback, whose PipelineResult carries the round count.
-            out.spill_rounds = result.fallback_result.spill_rounds
-    elif cell.scheduler == "portfolio":
         from ..portfolio.driver import PortfolioOptions, portfolio_pipeline_loop
 
-        result = portfolio_pipeline_loop(
-            loop, machine, PortfolioOptions.from_dict(options), verify=cell.verify
-        )
+        options_cls, driver = {
+            "most": (MostOptions, most_pipeline_loop),
+            "portfolio": (PortfolioOptions, portfolio_pipeline_loop),
+        }[cell.scheduler]
+        result = driver(loop, machine, options_cls.from_dict(options), verify=cell.verify)
         out.schedule_seconds = result.stats.seconds
         out.fallback = result.fallback_used
         out.optimal = result.optimal
         out.backend_seconds = result.stats.backend_seconds()
         out.backend_probes = [probe.to_dict() for probe in result.probes]
         if result.fallback_used and result.fallback_result is not None:
-            # Like MOST, the portfolio itself never spills; only its
-            # heuristic fallback can, and it reports the round count.
+            # The optimal pipeliners never spill; any spilling happened
+            # inside the heuristic fallback, which reports the round count.
             out.spill_rounds = result.fallback_result.spill_rounds
     elif cell.scheduler == "rau":
         from ..rau.scheduler import RauOptions, rau_pipeline_loop

@@ -1,12 +1,10 @@
 """MOST: the optimal (ILP-based) modulo scheduler."""
 
-from .formulation import ScheduleFormulation, build_formulation
-from .scheduler import MostOptions, MostResult, MostStats, most_pipeline_loop
+from ..portfolio.ilp_backend import ScheduleFormulation, build_formulation
+from .scheduler import MostOptions, most_pipeline_loop
 
 __all__ = [
     "MostOptions",
-    "MostResult",
-    "MostStats",
     "ScheduleFormulation",
     "build_formulation",
     "most_pipeline_loop",

@@ -1,4 +1,4 @@
-"""The MOST driver: optimal modulo scheduling via ILP with fallbacks.
+"""MOST: the optimal (ILP-based) pipeliner as a configuration of the shared walk.
 
 Mirrors the adjusted McGill methodology of Section 3.3:
 
@@ -11,70 +11,38 @@ Mirrors the adjusted McGill methodology of Section 3.3:
 4. the heuristic pipeliner backs the whole thing up (Section 4.4): not
    every loop the SGI pipeliner schedules is reachable by MOST in
    reasonable time.
+
+Steps 1, 3 and 4 are the portfolio's II walk
+(:func:`repro.portfolio.driver.walk_ii_range`) racing the ILP alone: one
+racer per SGI production order, where an unknown answer hands over to the
+next order.  Step 2 is a post-pass on the winning schedule.
 """
 
 from __future__ import annotations
 
-import sys
-import time
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core.driver import PipelineResult, PipelinerOptions, pipeline_loop
-from ..core.minii import min_ii as compute_min_ii
 from ..core.priorities import production_orders
 from ..core.sched import Schedule
-from ..ilp.solver import MILPResult, SolverOptions, Status, solve_milp
+from ..ilp.solver import SolverOptions, solve_milp
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
 from ..obs import get_recorder
-from ..regalloc.coloring import AllocationResult, allocate_schedule
-from .formulation import ScheduleFormulation, build_formulation
+from ..portfolio.driver import (
+    PAPER_TIME_LIMIT,
+    PortfolioResult,
+    PortfolioStats,
+    PostPass,
+    Race,
+    Racer,
+    walk_ii_range,
+)
+from ..portfolio.ilp_backend import build_formulation, solve_ilp
 
-
-#: The study's limit on searches for optimal schedules ("we used 3
-#: minutes").  This is the *single* definition of the paper's budget;
-#: experiment configurations shrink it, but every deadline below flows
-#: through one :class:`SolveBudget` built from ``MostOptions.time_limit``.
-PAPER_TIME_LIMIT = 180.0
-
-
-@dataclass
-class SolveBudget:
-    """Sole owner of the MOST wall-clock budget for one loop.
-
-    Every solver invocation asks this object for its slice; a slice can
-    never exceed either the configured total or what actually remains, so
-    the per-order split of §3.3 adjustment 3 and the stage-2 re-solve
-    cannot overshoot the budget no matter how the knobs are set.
-    """
-
-    total: float
-    started: float = field(default_factory=time.perf_counter)
-
-    def remaining(self) -> float:
-        return max(0.0, self.started + self.total - time.perf_counter())
-
-    def expired(self) -> bool:
-        return self.remaining() <= 0.0
-
-    def slice(self, parts: int = 1, floor: float = 0.0) -> float:
-        """An even ``1/parts`` share of the total, capped by what remains.
-
-        ``floor`` lifts tiny shares (many priority orders, small budget) so
-        a solve is not pointlessly invoked with microseconds — but never
-        above the remaining budget.
-        """
-        remaining = self.remaining()
-        share = max(self.total / max(parts, 1), floor)
-        share = min(share, remaining)
-        assert share <= self.total + 1e-9, (
-            f"budget slice {share:.3f}s exceeds configured total {self.total:.3f}s"
-        )
-        assert share <= remaining + 1e-9, (
-            f"budget slice {share:.3f}s exceeds remaining {remaining:.3f}s"
-        )
-        return share
+#: The smallest slice an ILP racer gets: below a second the solver spends
+#: its time setting up rather than searching.
+MOST_MIN_SLICE = 1.0
 
 
 @dataclass
@@ -96,14 +64,6 @@ class MostOptions:
     stages: Optional[int] = None
     fallback: bool = True  # use the heuristic pipeliner as backup
     max_nodes: int = 200_000
-    # Print one line per ILP solve (nodes, simplex iterations, MIP gap,
-    # which budget stopped it) to stderr — the human-readable face of the
-    # counters :class:`MostStats` accumulates.
-    log_solves: bool = False
-
-    def budget(self) -> SolveBudget:
-        """Start the wall clock on this loop's solve budget."""
-        return SolveBudget(total=self.time_limit)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MostOptions":
@@ -115,107 +75,53 @@ class MostOptions:
         return cls(**dict(data))
 
 
-@dataclass
-class MostStats:
-    solves: int = 0
-    nodes: int = 0
-    simplex_iterations: int = 0
-    node_limit_hits: int = 0  # solves stopped by the node budget
-    time_limit_hits: int = 0  # solves stopped by a wall-clock budget
-    seconds: float = 0.0
+def _ilp_racers(
+    loop: Loop, machine: MachineDescription, options: MostOptions
+) -> List[Tuple[str, Racer]]:
+    """One ILP racer per SGI production order (§3.3 adjustment 3).
 
+    Stage 1 is a feasibility question, so a racer stops at the first
+    schedule — unless the ``integrated`` ablation asks it to solve the
+    buffer-optimal model in one go.
+    """
+    orders: List[Optional[List[int]]] = (
+        list(production_orders(loop, machine).values())
+        if options.priority_branching
+        else [None]
+    )
 
-def _account_solve(
-    stats: MostStats, options: MostOptions, context: str, result: MILPResult
-) -> None:
-    """Fold one solver result into the stats; optionally log it."""
-    stats.solves += 1
-    stats.nodes += result.nodes
-    stats.simplex_iterations += result.simplex_iterations
-    stats.node_limit_hits += int(result.limit == "nodes")
-    stats.time_limit_hits += int(result.limit in ("time", "budget"))
-    stats.seconds += result.seconds
-    if options.log_solves:
-        gap = "-" if result.mip_gap is None else f"{result.mip_gap:.4f}"
-        print(
-            f"[most] {context}: status={result.status.value} nodes={result.nodes} "
-            f"simplex={result.simplex_iterations} gap={gap} "
-            f"limit={result.limit or 'none'} {result.seconds:.2f}s",
-            file=sys.stderr,
-        )
-
-
-@dataclass
-class MostResult:
-    """Outcome of the optimal pipeliner (possibly via fallback)."""
-
-    success: bool
-    schedule: Optional[Schedule]
-    allocation: Optional[AllocationResult]
-    loop: Loop
-    min_ii: int
-    optimal: bool = False  # II-optimality proven by the ILP
-    buffers: Optional[int] = None  # buffer objective value, when minimised
-    fallback_used: bool = False
-    fallback_result: Optional[PipelineResult] = None
-    stats: MostStats = field(default_factory=MostStats)
-
-    @property
-    def ii(self) -> Optional[int]:
-        return self.schedule.ii if self.schedule is not None else None
-
-
-def _solve_with_orders(
-    formulation: ScheduleFormulation,
-    loop: Loop,
-    machine: MachineDescription,
-    options: MostOptions,
-    stats: MostStats,
-    budget: SolveBudget,
-) -> Optional[MILPResult]:
-    """Solve one formulation, trying each SGI priority order as the branch
-    order until a solution appears (§3.3 adjustment 3)."""
-    orders: List[Optional[List[int]]]
-    if options.priority_branching:
-        orders = [
-            formulation.branch_priority(order)
-            for order in production_orders(loop, machine).values()
-        ]
-    else:
-        orders = [None]
-    rec = get_recorder()
-    for order_index, branch_priority in enumerate(orders):
-        remaining = budget.remaining()
-        if remaining <= 0:
-            return None
-        slice_seconds = (
-            remaining
-            if len(orders) == 1
-            else budget.slice(parts=len(orders), floor=1.0)
-        )
-        if rec.enabled:
-            rec.counter("most.budget_slice_seconds", slice_seconds)
-        solver_options = SolverOptions(
-            time_limit=slice_seconds,
-            branch_priority=branch_priority,
-            engine=options.engine,
+    def racer(order: Optional[List[int]]) -> Racer:
+        return lambda f, limit: solve_ilp(
+            f,
+            loop,
+            time_limit=limit,
             max_nodes=options.max_nodes,
-            # Stage 1 is a feasibility question: the first schedule wins.
-            first_solution=not options.integrated,
-            branch_up_first=branch_priority is not None,
+            engine=options.engine,
+            branch_priority=order,
+            minimize_buffers=options.integrated,
         )
-        with rec.span(
-            "most.solve",
-            loop=loop.name,
-            order=order_index,
-            slice_seconds=round(slice_seconds, 3),
-        ):
-            result = solve_milp(formulation.model, solver_options)
-        _account_solve(stats, options, f"{loop.name} order#{order_index}", result)
-        if result.status is Status.INFEASIBLE:
-            return result  # proven: no order can help
-        if result.has_solution:
-            return result
+
+    return [("ilp", racer(order)) for order in orders]
+
+
+def _post_pass(
+    loop: Loop, machine: MachineDescription, options: MostOptions
+) -> Optional[PostPass]:
+    """Stage 2 on the winning witness: its buffers, or a secondary re-solve."""
+    if options.integrated:
+        # The racer already solved the buffer-optimal model.
+        return lambda ii, winner, budget, stats: (
+            dict(winner.times),
+            None if winner.objective is None else int(round(winner.objective)),
+        )
+    if options.minimize_buffers:
+        # Cap the secondary solve so one II cannot starve the rest of the
+        # II range of solver time: at most a third of the budget, and
+        # never more than remains of it.
+        return lambda ii, winner, budget, stats: _optimise_secondary(
+            loop, machine, ii, dict(winner.times), options, stats,
+            budget.slice(parts=3),
+        )
     return None
 
 
@@ -224,112 +130,22 @@ def most_pipeline_loop(
     machine: Optional[MachineDescription] = None,
     options: Optional[MostOptions] = None,
     verify: Optional[bool] = None,
-) -> MostResult:
+) -> PortfolioResult:
     """Schedule ``loop`` with the ILP pipeliner, falling back to heuristics.
 
     ``verify`` cross-checks successful results with the independent
     ``repro.verify`` analyzers (``None`` = process default); ERROR
     diagnostics raise :class:`repro.verify.VerificationError`.
     """
-    from ..core.driver import _maybe_verify
     machine = machine if machine is not None else r8000()
     options = options or MostOptions()
-    stats = MostStats()
-    mii = compute_min_ii(loop, machine)
-    budget = options.budget()
-
-    rec = get_recorder()
-    if loop.n_ops <= options.max_ops:
-        max_ii = options.ii_cap_factor * mii
-        # II-optimality is proven when every smaller II was proven
-        # infeasible (MinII itself is a hard lower bound).
-        smaller_proven_infeasible = True
-        for ii in range(mii, max_ii + 1):
-            if budget.expired():
-                break
-            if rec.enabled:
-                rec.counter("most.ii_attempts")
-                rec.event("most.ii", loop=loop.name, ii=ii)
-            formulation = build_formulation(
-                loop,
-                machine,
-                ii,
-                stages=options.stages,
-                minimize_buffers=options.integrated,
-            )
-            if formulation.infeasible:
-                continue  # proven infeasible at this II (window collapse)
-            result = _solve_with_orders(formulation, loop, machine, options, stats, budget)
-            if result is None:
-                smaller_proven_infeasible = False
-                continue  # inconclusive at this II; try the next
-            if result.status is Status.INFEASIBLE:
-                continue
-            times = formulation.decode_times(result)
-            optimal = smaller_proven_infeasible
-            buffers: Optional[int] = None
-            if options.integrated and result.objective is not None:
-                buffers = int(round(result.objective))
-            if options.minimize_buffers and not options.integrated:
-                # Cap the secondary solve so one II cannot starve the rest
-                # of the II range of solver time: at most a third of the
-                # budget, and never more than remains of it.
-                times, buffers = _optimise_secondary(
-                    loop, machine, ii, times, options, stats,
-                    budget.slice(parts=3),
-                )
-            schedule = Schedule(
-                loop=loop, machine=machine, ii=ii, times=times, producer="most/ilp"
-            )
-            allocation = allocate_schedule(schedule, machine)
-            if allocation.success:
-                return _maybe_verify(
-                    MostResult(
-                        success=True,
-                        schedule=schedule,
-                        allocation=allocation,
-                        loop=loop,
-                        min_ii=mii,
-                        optimal=optimal,
-                        buffers=buffers,
-                        stats=stats,
-                    ),
-                    machine,
-                    verify,
-                )
-            # Register allocation failed at this II: a larger II shortens
-            # relative lifetimes, so keep walking the II range before
-            # resorting to the heuristic fallback.
-            smaller_proven_infeasible = False
-
-    if not options.fallback:
-        return MostResult(
-            success=False,
-            schedule=None,
-            allocation=None,
-            loop=loop,
-            min_ii=mii,
-            stats=stats,
-        )
-    # verify=False here: the wrapping MostResult is verified below instead,
-    # so the fallback schedule is not checked twice.
-    fallback = pipeline_loop(
-        loop, machine, PipelinerOptions(enable_membank=False), verify=False
+    race = Race(
+        producer="most",
+        racers=_ilp_racers(loop, machine, options),
+        min_slice=MOST_MIN_SLICE,
+        post_pass=_post_pass(loop, machine, options),
     )
-    return _maybe_verify(
-        MostResult(
-            success=fallback.success,
-            schedule=fallback.schedule,
-            allocation=fallback.allocation,
-            loop=fallback.loop,
-            min_ii=mii,
-            fallback_used=True,
-            fallback_result=fallback,
-            stats=stats,
-        ),
-        machine,
-        verify,
-    )
+    return walk_ii_range(loop, machine, options, race, verify)
 
 
 def _optimise_secondary(
@@ -338,7 +154,7 @@ def _optimise_secondary(
     ii: int,
     initial_times: Dict[int, int],
     options: MostOptions,
-    stats: MostStats,
+    stats: PortfolioStats,
     time_limit: float,
 ):
     """Stage 2: re-solve with the secondary objective under the budget.
@@ -347,7 +163,8 @@ def _optimise_secondary(
     time ("it would accept the best suboptimal solution found, if any").
     The objective is buffers (§3.3) or, as the extension of §5, the stage
     count that loop overhead scales with.  ``time_limit`` is the slice of
-    the loop's :class:`SolveBudget` this stage may consume.
+    the loop's :class:`~repro.portfolio.driver.SolveBudget` this stage may
+    consume.
     """
     if time_limit <= 0.5:
         return initial_times, None
@@ -391,7 +208,9 @@ def _optimise_secondary(
     )
     with get_recorder().span("most.secondary", loop=loop.name, ii=ii):
         result = solve_milp(formulation.model, solver_options)
-    _account_solve(stats, options, f"{loop.name} stage2@II={ii}", result)
+    stats.solves += 1
+    stats.nodes += result.nodes
+    stats.seconds += result.seconds
     if result.has_solution:
         return formulation.decode_times(result), int(round(result.objective))
     return initial_times, None

@@ -45,7 +45,9 @@ Counter namespace (aggregated per recorder, folded into ``BENCH_*.json``
 by repro.exec): ``bnb.*`` (placements, backtracks, prune.<reason>),
 ``ii.attempts``, ``spill.rounds``/``spill.values``, ``regalloc.*``,
 ``ilp.*`` (solves, nodes, simplex_iters, node_limit_hits),
-``most.budget_slice_seconds`` and ``rau.*`` (placements, evictions).
+``portfolio.*`` (ii_attempts and per-backend seconds, nodes and
+sat/unsat/unknown answers, for MOST and the portfolio alike) and
+``rau.*`` (placements, evictions).
 """
 
 from .recorder import (

@@ -270,15 +270,16 @@ def _harvest_attempts(events: Sequence[Mapping[str, Any]], loop_name: str) -> Li
     """Normalise recorder events into one II-attempt timeline.
 
     Understands the three schedulers' event shapes: ``ii.attempt`` (SGI
-    two-phase search), ``most.ii`` (ILP II walk) and ``rau.attempt``
-    (iterative modulo scheduling).  Spill rounds rename the loop (spill
-    code changes the body), so the filter matches by prefix.
+    two-phase search), ``portfolio.ii`` (the II walk MOST shares with the
+    portfolio) and ``rau.attempt`` (iterative modulo scheduling).  Spill
+    rounds rename the loop (spill code changes the body), so the filter
+    matches by prefix.
     """
     timeline: List[Dict[str, Any]] = []
     for event in events:
         name = event.get("name")
         args = event.get("args", {})
-        if name not in ("ii.attempt", "most.ii", "rau.attempt"):
+        if name not in ("ii.attempt", "portfolio.ii", "rau.attempt"):
             continue
         ev_loop = str(args.get("loop", ""))
         if not (ev_loop == loop_name or ev_loop.startswith(loop_name)):
@@ -291,7 +292,7 @@ def _harvest_attempts(events: Sequence[Mapping[str, Any]], loop_name: str) -> Li
                 placements=args.get("placements", 0),
                 backtracks=args.get("backtracks", 0),
             )
-        elif name == "most.ii":
+        elif name == "portfolio.ii":
             entry.update(phase="ilp", success=None)
         else:
             entry.update(
@@ -502,7 +503,7 @@ def _classify_most_below(result, machine, options) -> Tuple[str, str, Dict[str, 
     """Replay the ILP one II below the achieved schedule."""
     from ..core.sched import Schedule
     from ..ilp.solver import SolverOptions, Status, solve_milp
-    from ..most.formulation import build_formulation
+    from ..portfolio.ilp_backend import build_formulation
 
     loop = result.loop
     target = result.ii - 1
@@ -638,9 +639,9 @@ def explain_result(
 ) -> IIExplanation:
     """Attribute one already-computed pipeliner result.
 
-    ``result`` is a ``PipelineResult``, ``MostResult`` or ``RauResult``;
-    the production run is *not* repeated — only the II−1 replay runs, and
-    only when II > MinII.  ``events`` (recorder events of the production
+    ``result`` is a ``PipelineResult``, the ``PortfolioResult`` MOST
+    returns, or a ``RauResult``; the production run is *not* repeated —
+    only the II−1 replay runs, and only when II > MinII.  ``events`` (recorder events of the production
     run, when it was traced) feed the II-attempt timeline.
     """
     original = getattr(result, "original", None) or result.loop

@@ -7,10 +7,11 @@ but kept the question: Roorda's SMT-solver modulo scheduling
 difference logic; the combinatorial-scheduling survey of Castañeda Lozano
 & Schulte (arXiv 1409.7628) catalogues CP propagation over the identical
 structure.  This package makes that literal: one backend-neutral
-:class:`~repro.portfolio.formulation.ModuloFormulation` extracted from the
-MOST model builder, and interchangeable decision procedures behind it —
+:class:`~repro.portfolio.formulation.ModuloFormulation`, and
+interchangeable decision procedures behind it —
 
-* ``ilp`` — the existing time-indexed ILP (:mod:`repro.ilp`);
+* ``ilp`` — the time-indexed ILP (:mod:`repro.portfolio.ilp_backend`
+  over :mod:`repro.ilp`);
 * ``cp``  — a pure-python CP solver: window propagation, modulo-resource
   filtering, conflict-driven chronological search (always available);
 * ``smt`` — a difference-logic encoding for Z3, optional-dependency-gated
@@ -18,19 +19,24 @@ MOST model builder, and interchangeable decision procedures behind it —
 
 :func:`~repro.portfolio.driver.portfolio_pipeline_loop` races the
 registered backends per (loop, II) under one shared
-:class:`~repro.most.scheduler.SolveBudget` and takes the first definitive
-sat/unsat answer.  Because every backend answers the *same* formulation,
-any disagreement is a soundness bug in one of them — the cross-backend
-agreement oracle (``repro.fuzz`` layer ``agreement``) turns that into a
-standing differential test.
-
-Only the leaf modules (formulation, answer) are imported eagerly;
-driver-level names resolve lazily so :mod:`repro.most` can import the
-neutral formulation without pulling the drivers back in (no import cycle).
+:class:`~repro.portfolio.driver.SolveBudget` and takes the first
+definitive sat/unsat answer.  Because every backend answers the *same*
+formulation, any disagreement is a soundness bug in one of them — the
+cross-backend agreement oracle (``repro.fuzz`` layer ``agreement``) turns
+that into a standing differential test.  MOST (:mod:`repro.most`) is the
+same II walk racing the ILP alone.
 """
 
 from .answer import BackendAnswer, ProbeRecord, probe_disagreements
+from .driver import (
+    PortfolioOptions,
+    PortfolioResult,
+    PortfolioStats,
+    available_backend_names,
+    portfolio_pipeline_loop,
+)
 from .formulation import ModuloFormulation, build_modulo_formulation, check_witness
+from .smt import smt_available
 
 __all__ = [
     "BackendAnswer",
@@ -46,24 +52,3 @@ __all__ = [
     "probe_disagreements",
     "smt_available",
 ]
-
-_LAZY = {
-    "PortfolioOptions": "driver",
-    "PortfolioResult": "driver",
-    "PortfolioStats": "driver",
-    "available_backend_names": "driver",
-    "portfolio_pipeline_loop": "driver",
-    "smt_available": "smt",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value

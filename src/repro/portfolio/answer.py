@@ -32,6 +32,7 @@ class BackendAnswer:
     seconds: float = 0.0
     nodes: int = 0
     detail: str = ""
+    objective: Optional[float] = None  # the solver's objective, when it optimised
 
     @property
     def definitive(self) -> bool:

@@ -5,7 +5,7 @@ ASAP/ALAP issue window of every operation at a horizon of ``stages * II``
 cycles, the dependence arcs (``sigma_dst - sigma_src >= latency -
 II*omega``), and the modulo reservation rows (per resource and modulo
 slot, summed reservation-table demand may not exceed availability).  The
-MOST ILP (:mod:`repro.most.formulation`), the CP backend
+ILP (:mod:`repro.portfolio.ilp_backend`), the CP backend
 (:mod:`repro.portfolio.cp`) and the SMT backend
 (:mod:`repro.portfolio.smt`) are all *encodings of this one object*, which
 is what makes cross-backend agreement a meaningful oracle: a sat witness

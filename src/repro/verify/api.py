@@ -53,7 +53,7 @@ def verify_all(
 
 
 def verify_result(result, emitted=None, machine=None) -> Report:
-    """Verify a PipelineResult / MostResult / RauResult in one call.
+    """Verify a PipelineResult / PortfolioResult / RauResult in one call.
 
     Uses ``result.loop`` (the loop actually scheduled, spill code included)
     so the checks see exactly what the schedule refers to.
@@ -173,8 +173,9 @@ def verify_corpus(
 ) -> SweepResult:
     """Sweep a corpus through the requested pipeliners and verify everything.
 
-    Schedulers: ``sgi`` (heuristic branch-and-bound), ``most`` (ILP with
-    heuristic fallback), ``rau`` (iterative modulo scheduling).  Schedules,
+    Schedulers: ``sgi`` (heuristic branch-and-bound), ``most`` (the
+    portfolio's ILP-only race, with heuristic fallback), ``rau``
+    (iterative modulo scheduling).  Schedules,
     allocations and emitted code are all cross-checked; loops a scheduler
     cannot pipeline are recorded but are not verification failures.
     """

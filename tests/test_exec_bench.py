@@ -1,8 +1,7 @@
-"""Tests for the bench-JSON layer and the CI regression checker."""
+"""Tests for the bench-JSON layer and the CI regression check (``repro diff``)."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import pathlib
 
@@ -20,15 +19,6 @@ from repro.exec import (
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _load_check_regression():
-    spec = importlib.util.spec_from_file_location(
-        "check_regression", REPO_ROOT / "benchmarks" / "check_regression.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestBenchOptions:
@@ -132,14 +122,9 @@ class TestCheckRegression:
         base.update(kw)
         return base
 
-    def test_clean_comparison(self):
-        mod = _load_check_regression()
-        payload = self._payload([self._cell()])
-        regressions, warnings, infos = mod.compare(payload, payload, 2.0)
-        assert not regressions and not warnings and not infos
+    def test_quality_regressions_fail_the_strict_diff(self, tmp_path, capsys):
+        from repro.obs.diffbench import main as diff_main
 
-    def test_quality_regressions_detected(self):
-        mod = _load_check_regression()
         baseline = self._payload([self._cell(), self._cell(loop="b")])
         fresh = self._payload(
             [
@@ -147,27 +132,14 @@ class TestCheckRegression:
                 self._cell(loop="b", timeout=True, sim_cycles={"default": 150.0}),
             ]
         )
-        regressions, _, _ = mod.compare(fresh, baseline, 2.0)
-        text = "\n".join(regressions)
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(baseline))
+        new.write_text(json.dumps(fresh))
+        assert diff_main([str(old), str(new), "--strict"]) == 1
+        text = capsys.readouterr().out
         assert "II regressed" in text
         assert "new timeout" in text
         assert "sim cycles regressed" in text
-
-    def test_missing_cell_is_a_regression_new_cell_is_info(self):
-        mod = _load_check_regression()
-        baseline = self._payload([self._cell(), self._cell(loop="b")])
-        fresh = self._payload([self._cell(), self._cell(loop="c")])
-        regressions, _, infos = mod.compare(fresh, baseline, 2.0)
-        assert any("disappeared" in r for r in regressions)
-        assert any("new cell" in i for i in infos)
-
-    def test_slow_scheduler_is_a_warning_not_a_regression(self):
-        mod = _load_check_regression()
-        baseline = self._payload([self._cell(schedule_seconds=0.1)])
-        fresh = self._payload([self._cell(schedule_seconds=1.0)])
-        regressions, warnings, _ = mod.compare(fresh, baseline, 2.0)
-        assert not regressions
-        assert any("schedule time up" in w for w in warnings)
 
     def test_committed_baseline_matches_the_quick_grid(self):
         """The repo baseline must stay in the quick-bench shape CI produces."""

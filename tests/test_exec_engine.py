@@ -23,7 +23,8 @@ from repro.exec import (
 )
 from repro.exec.cells import LOOP_SOURCES
 from repro.machine import r8000
-from repro.most.scheduler import PAPER_TIME_LIMIT, MostOptions, SolveBudget
+from repro.most.scheduler import MostOptions
+from repro.portfolio.driver import PAPER_TIME_LIMIT, SolveBudget
 
 from .conftest import build_daxpy, build_sdot
 

@@ -160,6 +160,21 @@ class TestExecPlumbing:
         assert result.explanation["attempts"]
         assert CellResult.from_dict(result.to_dict()).explanation is not None
 
+    def test_most_cell_timeline_comes_from_the_shared_walk(self):
+        from repro.exec.cells import Cell
+        from repro.exec.runner import ExecEngine
+
+        cell = Cell.make(
+            "livermore:lk03_inner", "most",
+            {"engine": "scipy", "max_nodes": 2000, "time_limit": 20.0},
+            simulate=False, trace=True, explain=True,
+        )
+        result = ExecEngine(jobs=1).run([cell])[cell]
+        assert result.error is None
+        attempts = result.explanation["attempts"]
+        assert attempts and all(a["phase"] == "ilp" for a in attempts)
+        assert attempts[-1] == {"ii": result.ii, "phase": "ilp", "success": True}
+
     def test_explain_participates_in_the_cache_key(self):
         from repro.exec.cells import Cell
         from repro.exec.runner import ExecEngine

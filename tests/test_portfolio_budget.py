@@ -1,6 +1,6 @@
 """The single-owner SolveBudget invariant under the backend race.
 
-The portfolio shares one :class:`repro.most.scheduler.SolveBudget` across
+The portfolio shares one :class:`repro.portfolio.driver.SolveBudget` across
 all backends and all IIs of a loop.  Slices can never exceed what
 remains, and a backend overshooting its granted slice beyond the
 enforcement slack is an assertion failure — the regression this file
@@ -14,22 +14,28 @@ import time
 import pytest
 
 from repro.core import min_ii
-from repro.most.scheduler import SolveBudget
 from repro.portfolio.answer import SAT, UNKNOWN, BackendAnswer
 from repro.portfolio.driver import (
     SLICE_GRACE,
     PortfolioOptions,
     PortfolioStats,
+    Race,
+    SolveBudget,
     _probe_ii,
     portfolio_pipeline_loop,
 )
-from repro.portfolio.formulation import build_modulo_formulation
+from repro.portfolio.formulation import build_modulo_formulation, check_witness
 
 from .conftest import build_daxpy, build_sdot
 
 
 def _formulation(machine, loop):
     return build_modulo_formulation(loop, machine, min_ii(loop, machine))
+
+
+def _race(racers, cross_check=False):
+    return Race(producer="test", racers=racers, min_slice=0.05,
+                cross_check=cross_check)
 
 
 class TestSliceDiscipline:
@@ -56,10 +62,8 @@ class TestSliceDiscipline:
             return BackendAnswer(backend="rogue", answer=UNKNOWN,
                                  seconds=granted_ceiling + 5.0)
 
-        options = PortfolioOptions(time_limit=1.0)
         with pytest.raises(AssertionError, match="budget slice"):
-            _probe_ii(f, [("rogue", rogue)], budget, options,
-                      PortfolioStats(), [])
+            _probe_ii(f, _race([("rogue", rogue)]), budget, PortfolioStats(), [])
 
     def test_compliant_backends_pass_the_assertion(self, machine, daxpy):
         f = _formulation(machine, daxpy)
@@ -70,11 +74,12 @@ class TestSliceDiscipline:
             return BackendAnswer(backend="polite", answer=UNKNOWN,
                                  seconds=min(limit, 0.01))
 
-        options = PortfolioOptions(time_limit=1.0, cross_check=True)
         probes = []
-        answers = _probe_ii(f, [("polite", polite), ("polite2", polite)],
-                            budget, options, PortfolioStats(), probes)
-        assert len(answers) == 2
+        winner, proven_unsat = _probe_ii(
+            f, _race([("polite", polite), ("polite2", polite)], cross_check=True),
+            budget, PortfolioStats(), probes,
+        )
+        assert winner is None and not proven_unsat
         assert len(probes) == 2
 
     def test_race_stops_once_budget_expires(self, machine, daxpy):
@@ -88,9 +93,9 @@ class TestSliceDiscipline:
             return BackendAnswer(backend="slow", answer=UNKNOWN,
                                  seconds=min(limit, 0.02))
 
-        options = PortfolioOptions(time_limit=0.01, cross_check=True)
-        _probe_ii(f, [("slow", slow), ("never", slow), ("never2", slow)],
-                  budget, options, PortfolioStats(), [])
+        race = _race([("slow", slow), ("never", slow), ("never2", slow)],
+                     cross_check=True)
+        _probe_ii(f, race, budget, PortfolioStats(), [])
         assert len(calls) < 3  # later entrants saw an expired budget
 
     def test_first_definitive_ends_round_without_cross_check(self, machine, daxpy):
@@ -107,10 +112,40 @@ class TestSliceDiscipline:
             calls.append("never")
             return BackendAnswer(backend="never", answer=UNKNOWN)
 
-        options = PortfolioOptions(time_limit=5.0, cross_check=False)
-        _probe_ii(f, [("fake", sat_backend), ("never", never)], budget,
-                  options, PortfolioStats(), [])
+        winner, _ = _probe_ii(f, _race([("fake", sat_backend), ("never", never)]),
+                              budget, PortfolioStats(), [])
         assert calls == ["sat"]
+
+
+class TestWitnessVerdict:
+    def test_each_sat_witness_is_checked_once(self, machine, daxpy, monkeypatch):
+        import repro.portfolio.driver as driver
+
+        checked = []
+
+        def counting_check(formulation, times):
+            checked.append(dict(times))
+            return check_witness(formulation, times)
+
+        monkeypatch.setattr(driver, "check_witness", counting_check)
+        options = PortfolioOptions(time_limit=5.0, cross_check=True)
+        result = portfolio_pipeline_loop(daxpy, machine, options)
+        sats = [p for p in result.probes if p.answer == SAT]
+        assert sats and len(checked) == len(sats)
+
+    def test_bad_witness_is_recorded_and_never_wins(self, machine, daxpy):
+        f = _formulation(machine, daxpy)
+
+        def liar(formulation, limit):
+            times = {op: 0 for op in range(formulation.n_ops)}
+            return BackendAnswer(backend="liar", answer=SAT, times=times)
+
+        probes = []
+        winner, proven_unsat = _probe_ii(
+            f, _race([("liar", liar)]), SolveBudget(total=1.0), PortfolioStats(), probes
+        )
+        assert winner is None and not proven_unsat
+        assert probes[0].witness_ok is False
 
 
 class TestDriverLevelAccounting:

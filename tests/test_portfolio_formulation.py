@@ -7,13 +7,12 @@ import pytest
 from repro.core import min_ii
 from repro.ir import LoopBuilder
 from repro.machine import r8000, single_issue
-from repro.most import build_formulation
-from repro.most.formulation import model_from_formulation
 from repro.portfolio import (
     ModuloFormulation,
     build_modulo_formulation,
     check_witness,
 )
+from repro.portfolio.ilp_backend import build_formulation, model_from_formulation
 from repro.portfolio.formulation import (
     FormulationArc,
     critical_path,

@@ -36,11 +36,11 @@ lint:
 	fi
 	$(PYTHON) -m repro.analyze.codelint src/repro
 
-# Sweep both workload corpora through all three pipeliners and verify every
-# schedule, allocation and emitted listing (exits non-zero on any ERROR).
+# Sweep every committed loop (livermore, spec92, recbound) through all four
+# pipeliners and verify every schedule, allocation and emitted listing
+# (exits non-zero on any ERROR).
 verify-corpus:
-	$(PYTHON) -m repro verify livermore
-	$(PYTHON) -m repro verify spec92
+	$(PYTHON) -m repro verify all --schedulers sgi,most,rau,portfolio
 
 # The full timed (loop × scheduler) grid, emitted as
 # benchmarks/output/BENCH_pipeline.json (cached under .exec-cache/).

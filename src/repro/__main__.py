@@ -66,6 +66,10 @@ from .eval import (
     sec5_ii_parity,
     sec5_scalability,
 )
+from .exec.cells import PIPELINERS, SCHEDULERS
+
+#: The ``--schedulers`` help text of the subcommands that run pipeliners.
+PIPELINER_HELP = f"comma-separated subset of {','.join(PIPELINERS)}"
 
 EXPERIMENTS = {
     "fig2": (fig2_pipelining_effectiveness, "SPEC92 fp: pipelining on vs off"),
@@ -82,6 +86,18 @@ EXPERIMENTS = {
 }
 
 
+def _scheduler_names(text: str, parser, allowed=PIPELINERS) -> list:
+    """A ``--schedulers`` value, checked against the pipeliner table."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    unknown = [s for s in names if s not in allowed]
+    if unknown:
+        parser.error(
+            f"unknown schedulers: {', '.join(unknown)} "
+            f"(expected some of {', '.join(allowed)})"
+        )
+    return names
+
+
 def _verify_main(argv, parser) -> int:
     """``python -m repro verify <corpus>``: sweep and verify all artifacts."""
     vp = argparse.ArgumentParser(
@@ -95,7 +111,7 @@ def _verify_main(argv, parser) -> int:
     )
     vp.add_argument(
         "--schedulers", default="sgi,most,rau",
-        help="comma-separated subset of sgi,most,rau (default: all three)",
+        help=f"{PIPELINER_HELP} (default: sgi,most,rau)",
     )
     vp.add_argument(
         "--ilp-seconds", type=float, default=2.0,
@@ -109,12 +125,14 @@ def _verify_main(argv, parser) -> int:
 
     from .verify import verify_corpus
 
-    schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
+    schedulers = _scheduler_names(args.schedulers, vp)
     try:
         sweep = verify_corpus(
-            args.corpus, schedulers=schedulers, most_time_limit=args.ilp_seconds
+            args.corpus,
+            schedulers=schedulers,
+            scheduler_options={"most": {"time_limit": args.ilp_seconds, "engine": "scipy"}},
         )
-    except ValueError as exc:  # unknown corpus / scheduler name
+    except ValueError as exc:  # unknown corpus
         vp.error(str(exc))
     print(sweep.formatted(verbose=args.verbose))
     return 0 if sweep.ok else 1
@@ -162,7 +180,7 @@ def _bench_main(argv, sweep: bool) -> int:
     bp.set_defaults(cache_dir=DEFAULT_CACHE_DIR)
     bp.add_argument(
         "--schedulers", default="sgi,most,rau,portfolio",
-        help="comma-separated subset of sgi,most,rau,baseline,portfolio "
+        help=f"comma-separated subset of {','.join(SCHEDULERS)} "
         "(default: sgi,most,rau,portfolio)",
     )
     bp.add_argument(
@@ -211,7 +229,7 @@ def _bench_main(argv, sweep: bool) -> int:
         trace_dir = str(pathlib.Path(args.output_dir) / "trace")
     options = BenchOptions(
         quick=args.quick,
-        schedulers=tuple(s.strip() for s in args.schedulers.split(",") if s.strip()),
+        schedulers=tuple(_scheduler_names(args.schedulers, bp, SCHEDULERS)),
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
@@ -282,7 +300,7 @@ def _trace_main(argv) -> int:
     )
     tp.add_argument(
         "--schedulers", default="sgi,most,rau",
-        help="comma-separated subset of sgi,most,rau (default: all three)",
+        help=f"{PIPELINER_HELP} (default: sgi,most,rau)",
     )
     tp.add_argument(
         "--limit", type=int, default=None, metavar="N",
@@ -317,10 +335,7 @@ def _trace_main(argv) -> int:
     )
     args = tp.parse_args(argv)
 
-    schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-    unknown = [s for s in schedulers if s not in ("sgi", "most", "rau")]
-    if unknown:
-        tp.error(f"unknown schedulers: {', '.join(unknown)}")
+    schedulers = _scheduler_names(args.schedulers, tp)
     try:
         keys = corpus_loop_keys(args.corpus)
     except ValueError as exc:
@@ -328,23 +343,21 @@ def _trace_main(argv) -> int:
     if args.limit is not None:
         keys = keys[: args.limit]
 
-    def sched_options(scheduler: str):
-        if scheduler == "most":
-            # Our own B&B engine: unlike scipy's HiGHS, it reports nodes
-            # and simplex iterations for every solve.
-            return {
-                "time_limit": args.ilp_seconds,
-                "engine": "bnb",
-                "max_nodes": args.max_nodes,
-                "max_ops": 61,
-            }
-        return {}
-
+    # MOST on our own B&B engine: unlike scipy's HiGHS, it reports nodes
+    # and simplex iterations for every solve.
+    sched_options = {
+        "most": {
+            "time_limit": args.ilp_seconds,
+            "engine": "bnb",
+            "max_nodes": args.max_nodes,
+            "max_ops": 61,
+        }
+    }
     cells = [
         Cell.make(
             key,
             scheduler,
-            sched_options(scheduler),
+            sched_options.get(scheduler),
             seed=args.seed,
             simulate=False,
             verify=False,
@@ -405,7 +418,7 @@ def _explain_main(argv) -> int:
     )
     ep.add_argument(
         "--schedulers", default="sgi,most,rau",
-        help="comma-separated subset of sgi,most,rau (default: all three)",
+        help=f"{PIPELINER_HELP} (default: sgi,most,rau)",
     )
     ep.add_argument(
         "--limit", type=int, default=None, metavar="N",
@@ -421,17 +434,9 @@ def _explain_main(argv) -> int:
     )
     args = ep.parse_args(argv)
 
-    from .obs.explain import (
-        EXPLAIN_SCHEDULERS,
-        explain_corpus,
-        explanations_to_json,
-        format_explanations,
-    )
+    from .obs.explain import explain_corpus, explanations_to_json, format_explanations
 
-    schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-    unknown = [s for s in schedulers if s not in EXPLAIN_SCHEDULERS]
-    if unknown:
-        ep.error(f"unknown schedulers: {', '.join(unknown)}")
+    schedulers = _scheduler_names(args.schedulers, ep)
     try:
         explanations = explain_corpus(
             args.corpus,
@@ -480,8 +485,8 @@ def _analyze_main(argv) -> int:
     )
     ap.add_argument(
         "--schedulers", default="sgi,most,rau",
-        help="comma-separated subset of sgi,most,rau, or 'none' for "
-        "bounds only (default: all three)",
+        help=f"{PIPELINER_HELP}, or 'none' for bounds only "
+        "(default: sgi,most,rau)",
     )
     ap.add_argument(
         "--limit", type=int, default=None, metavar="N",
@@ -501,22 +506,19 @@ def _analyze_main(argv) -> int:
     )
     args = ap.parse_args(argv)
 
-    from .analyze.api import ANALYZE_SCHEDULERS, analyze_corpus
+    from .analyze.api import analyze_corpus
 
     if args.schedulers.strip() == "none":
         schedulers = []
     else:
-        schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-        unknown = [s for s in schedulers if s not in ANALYZE_SCHEDULERS]
-        if unknown:
-            ap.error(f"unknown schedulers: {', '.join(unknown)}")
+        schedulers = _scheduler_names(args.schedulers, ap)
     try:
         report = analyze_corpus(
             args.corpus,
             schedulers=schedulers,
             check=args.check,
             limit=args.limit,
-            most_time_limit=args.ilp_seconds,
+            scheduler_options={"most": {"time_limit": args.ilp_seconds, "engine": "scipy"}},
         )
     except ValueError as exc:  # unknown corpus
         ap.error(str(exc))
@@ -562,7 +564,8 @@ def _report_main(argv) -> int:
     )
     rp.add_argument(
         "--schedulers", default="sgi,most,rau",
-        help="schedulers for the II-explanation panel (default: all three)",
+        help=f"schedulers for the II-explanation panel: {PIPELINER_HELP} "
+        "(default: sgi,most,rau)",
     )
     rp.add_argument(
         "--limit", type=int, default=None, metavar="N",
@@ -604,7 +607,7 @@ def _report_main(argv) -> int:
     )
     args = rp.parse_args(argv)
 
-    schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
+    schedulers = _scheduler_names(args.schedulers, rp)
     print(f"explaining {args.corpus} × {','.join(schedulers)} ...", flush=True)
     try:
         explanations = explain_corpus(
@@ -721,8 +724,7 @@ def _fuzz_main(argv) -> int:
     fp.add_argument("--seed", type=int, default=0, help="session seed (default: 0)")
     fp.add_argument(
         "--schedulers", default="sgi,most,rau",
-        help="comma-separated subset of sgi,most,rau,portfolio "
-        "(default: sgi,most,rau)",
+        help=f"{PIPELINER_HELP} (default: sgi,most,rau)",
     )
     fp.add_argument(
         "--oracle", default=None, choices=("backend-agreement",),
@@ -761,10 +763,7 @@ def _fuzz_main(argv) -> int:
     )
     args = fp.parse_args(argv)
 
-    schedulers = tuple(s.strip() for s in args.schedulers.split(",") if s.strip())
-    unknown = [s for s in schedulers if s not in ("sgi", "most", "rau", "portfolio")]
-    if unknown:
-        fp.error(f"unknown schedulers: {', '.join(unknown)}")
+    schedulers = tuple(_scheduler_names(args.schedulers, fp))
     if args.oracle == "backend-agreement" and "portfolio" not in schedulers:
         schedulers = schedulers + ("portfolio",)
     config = FuzzConfig(

@@ -11,15 +11,12 @@ wrong, and is reported as such rather than averaged away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
 from .bounds import LoopBounds, compute_bounds
-
-ANALYZE_SCHEDULERS = ("sgi", "most", "rau")
-
 
 @dataclass
 class LoopAnalysis:
@@ -39,7 +36,7 @@ class LoopAnalysis:
     achieved: Dict[str, Optional[int]] = field(default_factory=dict)
     #: scheduler -> spill rounds (spill code voids the pristine certificates)
     spill_rounds: Dict[str, int] = field(default_factory=dict)
-    #: scheduler -> natively proved optimal (MOST only)
+    #: scheduler -> natively proved optimal (MOST and the portfolio only)
     optimal: Dict[str, bool] = field(default_factory=dict)
     #: certificate-checker errors ("RULE: message"); empty = clean or unchecked
     check_errors: List[str] = field(default_factory=list)
@@ -61,23 +58,10 @@ class LoopAnalysis:
         return not self.check_errors and not self.contradictions
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "loop": self.loop,
-            "n_ops": self.n_ops,
-            "res_mii": self.res_mii,
-            "rec_mii": self.rec_mii,
-            "min_ii": self.min_ii,
-            "schedulable_bound": self.schedulable_bound,
-            "allocatable_bound": self.allocatable_bound,
-            "pairing_bound": self.pairing_bound,
-            "certificates": self.certificates,
-            "achieved": dict(self.achieved),
-            "spill_rounds": dict(self.spill_rounds),
-            "optimal": dict(self.optimal),
-            "check_errors": list(self.check_errors),
-            "contradictions": list(self.contradictions),
-            "checked": self.checked,
-        }
+        """Every field but the (large) ``bounds`` payload."""
+        data = asdict(self)
+        del data["bounds"]
+        return data
 
 
 @dataclass
@@ -102,7 +86,7 @@ class AnalysisReport:
         width = max((len(e.loop) for e in self.entries), default=4)
         headers = f"  {'loop'.ljust(width)}  ops  MinII(res/rec)  sched>=  alloc>="
         for scheduler in self.schedulers:
-            headers += f"  {scheduler:>5}"
+            headers += f"  {scheduler:>{max(5, len(scheduler))}}"
         headers += "  certs  status"
         lines = [
             f"analyze {self.corpus}: {len(self.entries)} loops"
@@ -118,7 +102,7 @@ class AnalysisReport:
                     text += "*"
                 if e.spill_rounds.get(scheduler):
                     text += "s"
-                cells += f"  {text:>5}"
+                cells += f"  {text:>{max(5, len(scheduler))}}"
             if e.check_errors:
                 status = "FAIL"
             elif e.contradictions:
@@ -156,46 +140,6 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def _achieved(
-    loop: Loop,
-    machine: MachineDescription,
-    schedulers: Sequence[str],
-    most_time_limit: float,
-    entry: LoopAnalysis,
-) -> None:
-    """Run the requested pipeliners and record what each one achieved."""
-    # Lazy imports: the drivers consult repro.analyze for static pruning,
-    # so importing them at module scope here would be circular.
-    from ..core.driver import pipeline_loop
-    from ..most.scheduler import MostOptions, most_pipeline_loop
-    from ..rau.scheduler import rau_pipeline_loop
-
-    for scheduler in schedulers:
-        if scheduler == "sgi":
-            result = pipeline_loop(loop, machine, verify=False)
-            spills = result.spill_rounds
-            optimal = False
-        elif scheduler == "most":
-            result = most_pipeline_loop(
-                loop,
-                machine,
-                MostOptions(time_limit=most_time_limit, engine="scipy"),
-                verify=False,
-            )
-            fallback = getattr(result, "fallback_result", None)
-            spills = fallback.spill_rounds if fallback is not None else 0
-            optimal = bool(result.optimal)
-        elif scheduler == "rau":
-            result = rau_pipeline_loop(loop, machine, verify=False)
-            spills = 1 if result.spilled else 0
-            optimal = False
-        else:
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-        entry.achieved[scheduler] = result.ii if result.success else None
-        entry.spill_rounds[scheduler] = spills
-        entry.optimal[scheduler] = optimal
-
-
 def _cross_check(
     loop: Loop,
     machine: MachineDescription,
@@ -226,31 +170,38 @@ def _cross_check(
 
 def analyze_corpus(
     corpus: str,
-    schedulers: Sequence[str] = ANALYZE_SCHEDULERS,
+    schedulers: Optional[Sequence[str]] = None,
     machine: Optional[MachineDescription] = None,
     check: bool = False,
     limit: Optional[int] = None,
-    most_time_limit: float = 2.0,
+    scheduler_options: Optional[Mapping[str, Mapping[str, Any]]] = None,
     keep_payload: bool = False,
     progress: Optional[Callable[[LoopAnalysis], None]] = None,
 ) -> AnalysisReport:
     """Derive, (optionally) check, and cross-validate bounds for a corpus.
 
-    ``schedulers`` may be empty to compute and check bounds without
-    running any pipeliner.  ``check=True`` additionally validates every
+    ``schedulers`` names rows of the pipeliner table (default: all of
+    them) and may be empty to compute and check bounds without running
+    any pipeliner; ``scheduler_options`` maps a name to its JSON-style
+    options.  ``check=True`` additionally validates every
     certificate with the independent checker and cross-checks each
     achieved II against the certified bounds.  ``keep_payload`` retains
     each loop's full ``LoopBounds.to_dict`` payload on the entry (tests
     and the JSON output use it; the printed table does not).
     """
+    # Lazy imports: the drivers consult repro.analyze for static pruning,
+    # so importing them at module scope here would be circular.
+    from ..exec.cells import PIPELINERS, read_outcome, run_pipeliner
     from ..machine.descriptions import r8000
     from ..verify.api import corpus_loops
 
     machine = machine if machine is not None else r8000()
+    schedulers = tuple(PIPELINERS) if schedulers is None else tuple(schedulers)
+    scheduler_options = scheduler_options or {}
     loops = corpus_loops(corpus, machine)
     if limit is not None:
         loops = loops[:limit]
-    report = AnalysisReport(corpus=corpus, checked=check, schedulers=tuple(schedulers))
+    report = AnalysisReport(corpus=corpus, checked=check, schedulers=schedulers)
     for loop in loops:
         bounds = compute_bounds(loop, machine)
         entry = LoopAnalysis(
@@ -265,8 +216,14 @@ def analyze_corpus(
             certificates=len(bounds.certificates),
             bounds=bounds.to_dict() if keep_payload else None,
         )
-        if schedulers:
-            _achieved(loop, machine, schedulers, most_time_limit, entry)
+        for scheduler in schedulers:
+            result = run_pipeliner(
+                scheduler, loop, machine, scheduler_options.get(scheduler), verify=False
+            )
+            entry.achieved[scheduler] = result.ii if result.success else None
+            outcome = read_outcome(scheduler, result)
+            entry.spill_rounds[scheduler] = outcome.spill_rounds
+            entry.optimal[scheduler] = outcome.optimal
         if check:
             _cross_check(loop, machine, bounds, entry)
         report.entries.append(entry)

@@ -46,7 +46,7 @@ values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.ddg import DDG, Dependence, DepKind
@@ -716,19 +716,7 @@ class LoopBounds:
         return self.schedulable_bound
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "loop": self.loop,
-            "machine": self.machine,
-            "n_ops": self.n_ops,
-            "res_mii": self.res_mii,
-            "rec_mii": self.rec_mii,
-            "min_ii": self.min_ii,
-            "schedulable_bound": self.schedulable_bound,
-            "allocatable_bound": self.allocatable_bound,
-            "pairing_bound": self.pairing_bound,
-            "cap": self.cap,
-            "certificates": self.certificates,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "LoopBounds":

@@ -35,8 +35,21 @@ from .sched import Schedule, SchedulingStats
 from .spill import MAX_SPILL_ROUNDS, choose_spill_candidates, insert_spills
 
 
+class StrictOptions:
+    """Options dataclass built from a JSON-style mapping (the repro.exec
+    cell form); one parser for every pipeliner's options."""
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+        return cls(**data)
+
+
 @dataclass
-class PipelinerOptions:
+class PipelinerOptions(StrictOptions):
     """Configuration of the heuristic pipeliner (defaults = production)."""
 
     orders: Tuple[str, ...] = PRODUCTION_ORDER_NAMES
@@ -51,22 +64,12 @@ class PipelinerOptions:
     # search.  Outcome-identical: disabling it changes search effort only.
     static_bounds: bool = True
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PipelinerOptions":
-        """Build options from a JSON-style mapping (the repro.exec cell form).
-
-        ``orders`` may be a list; ``bnb`` a mapping of ``BnBConfig`` fields.
-        """
-        data = dict(data)
-        if "orders" in data:
-            data["orders"] = tuple(data["orders"])
-        if "bnb" in data and isinstance(data["bnb"], Mapping):
-            data["bnb"] = BnBConfig(**data["bnb"])
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown PipelinerOptions keys: {', '.join(unknown)}")
-        return cls(**data)
+    def __post_init__(self) -> None:
+        # The JSON cell form carries ``orders`` as a list and ``bnb`` as a
+        # mapping of ``BnBConfig`` fields.
+        self.orders = tuple(self.orders)
+        if isinstance(self.bnb, Mapping):
+            self.bnb = BnBConfig(**self.bnb)
 
 
 @dataclass

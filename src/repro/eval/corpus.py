@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.minii import min_ii, rec_mii, res_mii
+from ..exec.cells import corpus_entries
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
-from ..workloads.livermore import livermore_kernels
-from ..workloads.spec92 import spec92_suite
 from .report import Table
 
 
@@ -78,11 +77,10 @@ def corpus_table(
 
 
 def livermore_profile(machine: Optional[MachineDescription] = None) -> Table:
-    machine = machine if machine is not None else r8000()
-    return corpus_table(livermore_kernels(machine), "Livermore kernel corpus", machine)
+    loops = [loop for _, loop in corpus_entries("livermore", machine)]
+    return corpus_table(loops, "Livermore kernel corpus", machine)
 
 
 def spec92_profile(machine: Optional[MachineDescription] = None) -> Table:
-    machine = machine if machine is not None else r8000()
-    loops = [loop for bench in spec92_suite(machine) for loop in bench.loops]
+    loops = [loop for _, loop in corpus_entries("spec92", machine)]
     return corpus_table(loops, "SPEC92fp-like loop corpus", machine)

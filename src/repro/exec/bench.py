@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..obs.history import append_history
 from ..obs.provenance import provenance
 from .cache import DEFAULT_CACHE_DIR, ScheduleCache
-from .cells import Cell, CellResult, corpus_loop_keys
+from .cells import PIPELINERS, Cell, CellResult, corpus_loop_keys
 from .hashing import code_version
 from .runner import ExecEngine, ProgressFn
 
@@ -48,7 +48,7 @@ class BenchOptions:
 
     quick: bool = False
     corpora: Tuple[str, ...] = ("livermore", "spec92", "recbound")
-    schedulers: Tuple[str, ...] = ("sgi", "most", "rau", "portfolio")
+    schedulers: Tuple[str, ...] = tuple(PIPELINERS)
     jobs: int = 1
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR
     use_cache: bool = True

@@ -7,18 +7,117 @@ rather than by value: workers re-materialise the loop from the workload
 modules, which keeps cells trivially picklable and lets the cache key
 incorporate the loop IR's content hash — an edited kernel invalidates its
 own entries automatically.
+
+The module also holds the pipeliner table (:data:`PIPELINERS`): the one
+place that knows which schedulers exist and how to parse the options of,
+run and read the result of each.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
 
-SCHEDULERS = ("sgi", "most", "rau", "baseline", "portfolio")
+
+# ----------------------------------------------------------------------
+# The pipeliner table: name -> options class, driver, outcome reader
+# ----------------------------------------------------------------------
+@dataclass
+class Outcome:
+    """What a pipeliner's result reports besides its schedule, under
+    :class:`CellResult`'s field names.  The optimal pipeliners never spill:
+    their spill rounds are the heuristic fallback's.  Rau94 reports the
+    spilled value set, so any spill counts as one round."""
+
+    spill_rounds: int = 0
+    optimal: bool = False
+    fallback: bool = False
+    order_name: str = ""
+    backend_seconds: Dict[str, float] = field(default_factory=dict)
+    backend_probes: List[Dict[str, Any]] = field(default_factory=list)
+
+
+def _heuristic_outcome(result) -> Outcome:
+    return Outcome(spill_rounds=result.spill_rounds, order_name=result.order_name)
+
+
+def _rau_outcome(result) -> Outcome:
+    return Outcome(spill_rounds=1 if result.spilled else 0)
+
+
+def _walk_outcome(result) -> Outcome:
+    fallback = result.fallback_result if result.fallback_used else None
+    return Outcome(
+        spill_rounds=fallback.spill_rounds if fallback is not None else 0,
+        optimal=result.optimal,
+        fallback=result.fallback_used,
+        backend_seconds=result.stats.backend_seconds(),
+        backend_probes=[probe.to_dict() for probe in result.probes],
+    )
+
+
+class Pipeliner(NamedTuple):
+    """One row of the pipeliner table.  The options class and the driver
+    live in ``module`` (under ``repro``) and are looked up at call time, so
+    the table imports no scheduler and a rebound driver sees every call."""
+
+    module: str
+    options: str
+    driver: str
+    outcome: Callable[[Any], Outcome]
+
+
+PIPELINERS: Dict[str, Pipeliner] = {
+    "sgi": Pipeliner("core.driver", "PipelinerOptions", "pipeline_loop", _heuristic_outcome),
+    "most": Pipeliner("most.scheduler", "MostOptions", "most_pipeline_loop", _walk_outcome),
+    "rau": Pipeliner("rau.scheduler", "RauOptions", "rau_pipeline_loop", _rau_outcome),
+    "portfolio": Pipeliner(
+        "portfolio.driver", "PortfolioOptions", "portfolio_pipeline_loop", _walk_outcome
+    ),
+}
+
+#: Every cell scheduler: the pipeliners, plus the list scheduler the runner
+#: special-cases as the no-pipelining baseline.
+SCHEDULERS = (*PIPELINERS, "baseline")
+
+
+def _row(name: str) -> Pipeliner:
+    if name not in PIPELINERS:
+        raise ValueError(f"unknown pipeliner {name!r} (expected one of {', '.join(PIPELINERS)})")
+    return PIPELINERS[name]
+
+
+def _resolve(name: str, column: str) -> Any:
+    row = _row(name)
+    return getattr(importlib.import_module(f"..{row.module}", __package__), getattr(row, column))
+
+
+def parse_options(name: str, data: Optional[Mapping[str, Any]] = None) -> Any:
+    """The named pipeliner's options from a JSON-style mapping; unknown
+    keys raise :class:`ValueError` naming them."""
+    return _resolve(name, "options").from_dict(data or {})
+
+
+def run_pipeliner(
+    name: str,
+    loop: Loop,
+    machine: MachineDescription,
+    options: Optional[Mapping[str, Any]] = None,
+    verify: Optional[bool] = None,
+):
+    """Pipeline ``loop`` with the named pipeliner and JSON-style options."""
+    driver = _resolve(name, "driver")
+    return driver(loop, machine, parse_options(name, options), verify=verify)
+
+
+def read_outcome(name: str, result) -> Outcome:
+    """Spill rounds, proven optimality and fallback of a pipeliner's result."""
+    return _row(name).outcome(result)
 
 
 # ----------------------------------------------------------------------
@@ -115,29 +214,42 @@ def clear_loop_memo() -> None:
     _LOOP_MEMO.clear()
 
 
-def corpus_loop_keys(corpus: str, machine: Optional[MachineDescription] = None) -> List[str]:
-    """All registry keys of a named corpus (``livermore``, ``spec92`` or
-    ``recbound``)."""
+#: The committed corpora, in the order ``all`` concatenates them.
+CORPORA = ("livermore", "spec92", "recbound")
+
+
+def corpus_entries(
+    corpus: str, machine: Optional[MachineDescription] = None
+) -> List[Tuple[str, Loop]]:
+    """(registry key, freshly built loop) for every loop of a named corpus:
+    ``livermore``, ``spec92``, ``recbound`` or ``all``."""
     machine = machine if machine is not None else r8000()
+    if corpus == "all":
+        return [entry for name in CORPORA for entry in corpus_entries(name, machine)]
     if corpus == "livermore":
         from ..workloads.livermore import livermore_kernels
 
-        return [f"livermore:{loop.name}" for loop in livermore_kernels(machine)]
+        return [(f"livermore:{loop.name}", loop) for loop in livermore_kernels(machine)]
     if corpus == "spec92":
         from ..workloads.spec92 import spec92_suite
 
         return [
-            f"spec92:{bench.name}/{loop.name}"
+            (f"spec92:{bench.name}/{loop.name}", loop)
             for bench in spec92_suite(machine)
             for loop in bench.loops
         ]
     if corpus == "recbound":
         from ..workloads.recbound import recbound_kernels
 
-        return [f"recbound:{loop.name}" for loop in recbound_kernels(machine)]
+        return [(f"recbound:{loop.name}", loop) for loop in recbound_kernels(machine)]
     raise ValueError(
-        f"unknown corpus {corpus!r} (expected livermore, spec92 or recbound)"
+        f"unknown corpus {corpus!r} (expected {', '.join(CORPORA)} or all)"
     )
+
+
+def corpus_loop_keys(corpus: str, machine: Optional[MachineDescription] = None) -> List[str]:
+    """All registry keys of a named corpus (see :func:`corpus_entries`)."""
+    return [key for key, _ in corpus_entries(corpus, machine)]
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +258,27 @@ def corpus_loop_keys(corpus: str, machine: Optional[MachineDescription] = None) 
 def canonical_options(options: Optional[Mapping[str, Any]]) -> str:
     """Canonical JSON for an options mapping (sorted keys, no whitespace)."""
     return json.dumps(dict(options or {}), sort_keys=True, separators=(",", ":"))
+
+
+def _payload(record) -> Dict[str, Any]:
+    """A dataclass record as a JSON-ready dict, in field order.
+
+    Tuples become lists, and top-level lists and dicts are copied.
+    """
+    payload: Dict[str, Any] = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, (tuple, list)):
+            value = list(value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        payload[f.name] = value
+    return payload
+
+
+def _from_payload(cls, data: Mapping[str, Any]):
+    """The inverse of :func:`_payload`; keys that are not fields are ignored."""
+    return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 @dataclass(frozen=True)
@@ -191,6 +324,7 @@ class Cell:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r} (expected one of {SCHEDULERS})"
             )
+        object.__setattr__(self, "trips", tuple(self.trips))
 
     @classmethod
     def make(
@@ -198,32 +332,10 @@ class Cell:
         loop: str,
         scheduler: str,
         options: Optional[Mapping[str, Any]] = None,
-        trips: Tuple[int, ...] = (),
-        seed: int = 0,
-        timeout: Optional[float] = None,
-        simulate: bool = True,
-        verify: Optional[bool] = None,
-        trace: bool = False,
-        trace_dir: Optional[str] = None,
-        explain: bool = False,
-        oracle: bool = False,
-        analyze: bool = False,
+        **settings: Any,
     ) -> "Cell":
-        return cls(
-            loop=loop,
-            scheduler=scheduler,
-            options_json=canonical_options(options),
-            trips=tuple(trips),
-            seed=seed,
-            timeout=timeout,
-            simulate=simulate,
-            verify=verify,
-            trace=trace,
-            trace_dir=trace_dir,
-            explain=explain,
-            oracle=oracle,
-            analyze=analyze,
-        )
+        """A cell from an options mapping; ``settings`` are the other fields."""
+        return cls(loop, scheduler, canonical_options(options), **settings)
 
     @property
     def options(self) -> Dict[str, Any]:
@@ -235,39 +347,11 @@ class Cell:
         return f"{self.loop} × {self.scheduler}{opts}"
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "loop": self.loop,
-            "scheduler": self.scheduler,
-            "options_json": self.options_json,
-            "trips": list(self.trips),
-            "seed": self.seed,
-            "timeout": self.timeout,
-            "simulate": self.simulate,
-            "verify": self.verify,
-            "trace": self.trace,
-            "trace_dir": self.trace_dir,
-            "explain": self.explain,
-            "oracle": self.oracle,
-            "analyze": self.analyze,
-        }
+        return _payload(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Cell":
-        return cls(
-            loop=data["loop"],
-            scheduler=data["scheduler"],
-            options_json=data.get("options_json", "{}"),
-            trips=tuple(data.get("trips", ())),
-            seed=data.get("seed", 0),
-            timeout=data.get("timeout"),
-            simulate=data.get("simulate", True),
-            verify=data.get("verify"),
-            trace=data.get("trace", False),
-            trace_dir=data.get("trace_dir"),
-            explain=data.get("explain", False),
-            oracle=data.get("oracle", False),
-            analyze=data.get("analyze", False),
-        )
+        return _from_payload(cls, data)
 
 
 @dataclass
@@ -342,44 +426,8 @@ class CellResult:
             ) from None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "loop": self.loop,
-            "scheduler": self.scheduler,
-            "options_json": self.options_json,
-            "success": self.success,
-            "error": self.error,
-            "n_ops": self.n_ops,
-            "ii": self.ii,
-            "min_ii": self.min_ii,
-            "schedule_seconds": self.schedule_seconds,
-            "sched_wall_seconds": self.sched_wall_seconds,
-            "wall_seconds": self.wall_seconds,
-            "timeout": self.timeout,
-            "fallback": self.fallback,
-            "optimal": self.optimal,
-            "producer": self.producer,
-            "order_name": self.order_name,
-            "spill_rounds": self.spill_rounds,
-            "n_stages": self.n_stages,
-            "registers_used": self.registers_used,
-            "overhead_cycles": self.overhead_cycles,
-            "sim_cycles": dict(self.sim_cycles),
-            "obs": dict(self.obs),
-            "trace_file": self.trace_file,
-            "explanation": self.explanation,
-            "verify_errors": list(self.verify_errors),
-            "funcsim_ok": self.funcsim_ok,
-            "funcsim_detail": self.funcsim_detail,
-            "refined_bound": self.refined_bound,
-            "bounds": self.bounds,
-            "backend_seconds": dict(self.backend_seconds),
-            "backend_probes": list(self.backend_probes),
-            "cache_hit": self.cache_hit,
-            "cache_key": self.cache_key,
-            "attempts": self.attempts,
-        }
+        return _payload(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CellResult":
-        known = {f for f in cls.__dataclass_fields__}  # tolerate future fields
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return _from_payload(cls, data)

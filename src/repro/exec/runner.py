@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..machine.descriptions import MachineDescription, r8000
 from ..obs import TraceRecorder, recording, write_jsonl
 from .cache import ScheduleCache
-from .cells import Cell, CellResult, resolve_loop
+from .cells import Cell, CellResult, read_outcome, resolve_loop, run_pipeliner
 from .hashing import cell_key, fingerprint_loop, fingerprint_machine
 
 
@@ -164,6 +164,7 @@ def _interruptible_sleep(seconds: float) -> None:
 
 
 def _simulate(result_like, machine, trips_list, seed, sim_cycles):
+    """A result's pipeline overhead, simulated at every trip count listed."""
     from ..pipeline.overhead import pipeline_overhead
     from ..sim.layout import DataLayout
     from ..sim.perf import simulate_pipelined
@@ -231,52 +232,11 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
         return out
 
     sched_start = time.perf_counter()
-    if cell.scheduler == "sgi":
-        from ..core.driver import PipelinerOptions, pipeline_loop
-
-        result = pipeline_loop(
-            loop, machine, PipelinerOptions.from_dict(options), verify=cell.verify
-        )
-        out.schedule_seconds = result.stats.seconds
-        out.order_name = result.order_name
-        out.spill_rounds = result.spill_rounds
-    elif cell.scheduler in ("most", "portfolio"):
-        # Both optimal pipeliners run the portfolio's II walk and return
-        # its result type; only their options and race differ.
-        from ..most.scheduler import MostOptions, most_pipeline_loop
-        from ..portfolio.driver import PortfolioOptions, portfolio_pipeline_loop
-
-        options_cls, driver = {
-            "most": (MostOptions, most_pipeline_loop),
-            "portfolio": (PortfolioOptions, portfolio_pipeline_loop),
-        }[cell.scheduler]
-        result = driver(loop, machine, options_cls.from_dict(options), verify=cell.verify)
-        out.schedule_seconds = result.stats.seconds
-        out.fallback = result.fallback_used
-        out.optimal = result.optimal
-        out.backend_seconds = result.stats.backend_seconds()
-        out.backend_probes = [probe.to_dict() for probe in result.probes]
-        if result.fallback_used and result.fallback_result is not None:
-            # The optimal pipeliners never spill; any spilling happened
-            # inside the heuristic fallback, which reports the round count.
-            out.spill_rounds = result.fallback_result.spill_rounds
-    elif cell.scheduler == "rau":
-        from ..rau.scheduler import RauOptions, rau_pipeline_loop
-
-        known = {"budget_ratio", "ii_cap_factor", "max_spill_rounds"}
-        result = rau_pipeline_loop(
-            loop,
-            machine,
-            RauOptions(**{k: v for k, v in options.items() if k in known}),
-            verify=cell.verify,
-        )
-        out.schedule_seconds = result.stats.seconds
-        # RauResult reports the spilled value set, not rounds; any spill
-        # still means the scheduled loop is not the pristine one.
-        out.spill_rounds = 1 if result.spilled else 0
-    else:  # pragma: no cover - Cell.__post_init__ rejects unknown names
-        raise ValueError(f"unknown scheduler {cell.scheduler!r}")
+    result = run_pipeliner(cell.scheduler, loop, machine, options, verify=cell.verify)
     out.sched_wall_seconds = time.perf_counter() - sched_start
+    out.schedule_seconds = result.stats.seconds
+    for name, value in vars(read_outcome(cell.scheduler, result)).items():
+        setattr(out, name, value)
 
     if inject:
         from ..fuzz.inject import corrupt_result
@@ -289,15 +249,8 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
         out.producer = result.schedule.producer
         out.n_stages = result.schedule.n_stages
         out.registers_used = result.allocation.registers_used
-        if trips_list:
-            overhead = _simulate(result, machine, trips_list, cell.seed, out.sim_cycles)
-            out.overhead_cycles = overhead.total
-        else:
-            from ..pipeline.overhead import pipeline_overhead
-
-            out.overhead_cycles = pipeline_overhead(
-                result.schedule, result.allocation, machine
-            ).total
+        overhead = _simulate(result, machine, trips_list, cell.seed, out.sim_cycles)
+        out.overhead_cycles = overhead.total
     if cell.oracle:
         _apply_oracle(cell, result, machine, out)
     if cell.explain:

@@ -70,6 +70,9 @@ FUZZ_PORTFOLIO_OPTIONS = {
     "max_ops": 64,
 }
 
+#: Options of a fuzz cell, by scheduler (the rest run their defaults).
+FUZZ_OPTIONS = {"most": FUZZ_MOST_OPTIONS, "portfolio": FUZZ_PORTFOLIO_OPTIONS}
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -167,11 +170,7 @@ def spec_cells(
     key = f"fuzz:{spec_to_token(spec)}"
     cells = []
     for scheduler in schedulers:
-        options: Dict[str, object] = {}
-        if scheduler == "most":
-            options.update(FUZZ_MOST_OPTIONS)
-        if scheduler == "portfolio":
-            options.update(FUZZ_PORTFOLIO_OPTIONS)
+        options: Dict[str, object] = dict(FUZZ_OPTIONS.get(scheduler, {}))
         if inject:
             options["_test_inject"] = inject
         cells.append(Cell.make(

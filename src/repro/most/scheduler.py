@@ -20,9 +20,10 @@ next order.  Step 2 is a post-pass on the winning schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
+from ..core.driver import StrictOptions
 from ..core.priorities import production_orders
 from ..core.sched import Schedule
 from ..ilp.solver import SolverOptions, solve_milp
@@ -46,7 +47,7 @@ MOST_MIN_SLICE = 1.0
 
 
 @dataclass
-class MostOptions:
+class MostOptions(StrictOptions):
     """Configuration of the optimal pipeliner."""
 
     # Per-loop search budget; defaults to the paper's three minutes
@@ -64,15 +65,6 @@ class MostOptions:
     stages: Optional[int] = None
     fallback: bool = True  # use the heuristic pipeliner as backup
     max_nodes: int = 200_000
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MostOptions":
-        """Build options from a JSON-style mapping (the repro.exec cell form)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown MostOptions keys: {', '.join(unknown)}")
-        return cls(**dict(data))
 
 
 def _ilp_racers(

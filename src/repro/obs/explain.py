@@ -17,7 +17,8 @@ This module produces that attribution as a per-(loop × scheduler)
   counters into exactly one binding-constraint class — unless a
   :mod:`repro.analyze` certificate already covers the whole gap, in which
   case the attribution **cites the certificate** (machine-checkable, and
-  cheaper than the replay):
+  cheaper than the replay).  The portfolio needs no replay: its walk
+  already recorded every backend's answer at II−1:
 
   ==================  ==================================================
   ``recurrence``      II == MinII and RecMII > ResMII (or II−1 proven
@@ -41,7 +42,7 @@ pipeliners, so this module must not import them at module scope.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Every class :func:`classify` can emit — the closed vocabulary the CLI,
@@ -58,8 +59,6 @@ BINDING_CLASSES = (
 
 #: Classes that mean "the schedule is as good as the MinII bound allows".
 AT_BOUND_CLASSES = ("recurrence", "resource")
-
-EXPLAIN_SCHEDULERS = ("sgi", "most", "rau")
 
 #: Wall-clock ceiling on one ILP replay solve; the replay is diagnostic,
 #: not a benchmark, so it never inherits the full paper budget.
@@ -194,29 +193,9 @@ class IIExplanation:
     obs: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "loop": self.loop,
-            "scheduler": self.scheduler,
-            "success": self.success,
-            "ii": self.ii,
-            "min_ii": self.min_ii,
-            "res_mii": self.res_mii,
-            "rec_mii": self.rec_mii,
-            "minii_side": self.minii_side,
-            "binding": self.binding,
-            "detail": self.detail,
-            "gap": self.gap,
-            "critical_circuit": self.critical_circuit,
-            "utilization": {k: round(v, 4) for k, v in self.utilization.items()},
-            "bottleneck": self.bottleneck,
-            "spill_rounds": self.spill_rounds,
-            "spilled": list(self.spilled),
-            "fallback": self.fallback,
-            "attempts": self.attempts,
-            "replay": self.replay,
-            "mrt": self.mrt,
-            "obs": self.obs,
-        }
+        data = asdict(self)
+        data["utilization"] = {k: round(v, 4) for k, v in self.utilization.items()}
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "IIExplanation":
@@ -605,27 +584,41 @@ def _classify_rau_below(result, machine, options) -> Tuple[str, str, Dict[str, A
     return "search_exhausted", detail, evidence
 
 
+def _classify_portfolio_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
+    """Read the walk's own II−1 probes: no replay, the walk asked already."""
+    from ..portfolio.answer import SAT, UNSAT
+
+    target = result.ii - 1
+    probes = [probe for probe in result.probes if probe.ii == target]
+    evidence: Dict[str, Any] = {"ii": target, "probes": [p.to_dict() for p in probes]}
+    proof = next((probe for probe in probes if probe.answer == UNSAT), None)
+    if proof is not None:
+        evidence["proof"] = proof.backend
+        detail = f"{proof.backend} proved II−1={target} infeasible"
+        return "__proven__", detail, evidence
+    if any(probe.answer == SAT and probe.witness_ok for probe in probes):
+        detail = (
+            f"II−1={target} has a checked schedule, but the walk passed "
+            "over it: register allocation failed there"
+        )
+        return "register_pressure", detail, evidence
+    detail = f"no backend decided II−1={target} within its budget slice"
+    return "search_budget", detail, evidence
+
+
+#: II−1 classifiers by scheduler: a replay of the failed attempt, or (the
+#: portfolio) a reading of the probes its own walk recorded there.
+_CLASSIFIERS = {
+    "sgi": _classify_sgi_below,
+    "most": _classify_most_below,
+    "rau": _classify_rau_below,
+    "portfolio": _classify_portfolio_below,
+}
+
+
 # ---------------------------------------------------------------------------
 # The classifier.
 # ---------------------------------------------------------------------------
-
-
-def _scheduler_options(scheduler: str, options_dict: Optional[Mapping[str, Any]]):
-    data = dict(options_dict or {})
-    if scheduler == "sgi":
-        from ..core.driver import PipelinerOptions
-
-        return PipelinerOptions.from_dict(data)
-    if scheduler == "most":
-        from ..most.scheduler import MostOptions
-
-        return MostOptions.from_dict(data)
-    if scheduler == "rau":
-        from ..rau.scheduler import RauOptions
-
-        known = {"budget_ratio", "ii_cap_factor", "max_spill_rounds"}
-        return RauOptions(**{k: v for k, v in data.items() if k in known})
-    raise ValueError(f"explain does not cover scheduler {scheduler!r}")
 
 
 def explain_result(
@@ -639,11 +632,14 @@ def explain_result(
 ) -> IIExplanation:
     """Attribute one already-computed pipeliner result.
 
-    ``result`` is a ``PipelineResult``, the ``PortfolioResult`` MOST
-    returns, or a ``RauResult``; the production run is *not* repeated —
-    only the II−1 replay runs, and only when II > MinII.  ``events`` (recorder events of the production
-    run, when it was traced) feed the II-attempt timeline.
+    ``result`` is what the named pipeliner returned; the production run
+    is *not* repeated — only the II−1 replay runs, and only when II >
+    MinII.  ``events`` (recorder events of the production run, when it
+    was traced) feed the II-attempt timeline.
     """
+    from ..exec.cells import parse_options, read_outcome
+
+    outcome = read_outcome(scheduler, result)
     original = getattr(result, "original", None) or result.loop
     profile = minii_profile(original, machine)
     explanation = IIExplanation(
@@ -657,9 +653,9 @@ def explain_result(
         minii_side=profile.side,
         binding="unschedulable",
         critical_circuit=profile.circuit,
-        spill_rounds=getattr(result, "spill_rounds", 0),
+        spill_rounds=outcome.spill_rounds,
         spilled=list(getattr(result, "spilled", [])),
-        fallback=bool(getattr(result, "fallback_used", False)),
+        fallback=outcome.fallback,
         attempts=_harvest_attempts(events or [], original.name),
         obs=dict(obs or {}),
     )
@@ -680,10 +676,9 @@ def explain_result(
 
     # The ILP's heuristic fallback produced this schedule: attribute it
     # with the SGI classifier over the fallback's own result.
-    fallback_result = getattr(result, "fallback_result", None)
-    if explanation.fallback and fallback_result is not None:
+    if outcome.fallback and result.fallback_result is not None:
         inner = explain_result(
-            fallback_result,
+            result.fallback_result,
             "sgi",
             machine,
             {"enable_membank": False},
@@ -717,7 +712,7 @@ def explain_result(
     # II > MinII: the cheap spill check, then a certificate citation
     # (which replaces the replay when the whole gap is certified), then
     # the II−1 replay.
-    options = _scheduler_options(scheduler, options_dict)
+    options = parse_options(scheduler, options_dict)
     spilled = _spill_raised_minii(result, machine, result.ii)
     if spilled is not None:
         explanation.binding, explanation.detail, explanation.replay = spilled
@@ -727,12 +722,7 @@ def explain_result(
         explanation.binding, explanation.detail, explanation.replay = certified
         return explanation
 
-    if scheduler == "sgi":
-        binding, detail, evidence = _classify_sgi_below(result, machine, options)
-    elif scheduler == "most":
-        binding, detail, evidence = _classify_most_below(result, machine, options)
-    else:
-        binding, detail, evidence = _classify_rau_below(result, machine, options)
+    binding, detail, evidence = _CLASSIFIERS[scheduler](result, machine, options)
 
     if binding == "__proven__":
         # II−1 is provably impossible: the loop is genuinely bound by its
@@ -753,26 +743,14 @@ def explain_loop(
     verify: bool = False,
 ) -> IIExplanation:
     """Run one (loop × scheduler) cell live and attribute its II."""
-    from ..exec.cells import resolve_loop
+    from ..exec.cells import resolve_loop, run_pipeliner
     from ..machine.descriptions import r8000
     from . import recording
 
     machine = machine if machine is not None else r8000()
     loop = resolve_loop(loop_key, machine)
-    options = _scheduler_options(scheduler, options_dict)
     with recording() as rec:
-        if scheduler == "sgi":
-            from ..core.driver import pipeline_loop
-
-            result = pipeline_loop(loop, machine, options, verify=verify)
-        elif scheduler == "most":
-            from ..most.scheduler import most_pipeline_loop
-
-            result = most_pipeline_loop(loop, machine, options, verify=verify)
-        else:
-            from ..rau.scheduler import rau_pipeline_loop
-
-            result = rau_pipeline_loop(loop, machine, options, verify=verify)
+        result = run_pipeliner(scheduler, loop, machine, options_dict, verify=verify)
     return explain_result(
         result,
         scheduler,
@@ -785,14 +763,17 @@ def explain_loop(
 
 def explain_corpus(
     corpus: str = "livermore",
-    schedulers: Sequence[str] = EXPLAIN_SCHEDULERS,
+    schedulers: Optional[Sequence[str]] = None,
     machine=None,
     scheduler_options: Optional[Mapping[str, Mapping[str, Any]]] = None,
     limit: Optional[int] = None,
     progress=None,
 ) -> List[IIExplanation]:
-    """Attribute every (loop × scheduler) cell of one corpus."""
-    from ..exec.cells import corpus_loop_keys
+    """Attribute every (loop × scheduler) cell of one corpus (default:
+    every pipeliner of the table)."""
+    from ..exec.cells import PIPELINERS, corpus_loop_keys
+
+    schedulers = tuple(PIPELINERS) if schedulers is None else schedulers
 
     keys = corpus_loop_keys(corpus)
     if limit is not None:

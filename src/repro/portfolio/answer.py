@@ -14,7 +14,7 @@ Three answers are possible, with deliberately asymmetric meanings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Mapping, Optional
 
 SAT = "sat"
@@ -59,27 +59,11 @@ class ProbeRecord:
     detail: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "ii": self.ii,
-            "backend": self.backend,
-            "answer": self.answer,
-            "seconds": self.seconds,
-            "nodes": self.nodes,
-            "witness_ok": self.witness_ok,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ProbeRecord":
-        return cls(
-            ii=data["ii"],
-            backend=data["backend"],
-            answer=data["answer"],
-            seconds=data.get("seconds", 0.0),
-            nodes=data.get("nodes", 0),
-            witness_ok=data.get("witness_ok"),
-            detail=data.get("detail", ""),
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def probe_disagreements(probes) -> list:

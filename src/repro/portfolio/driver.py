@@ -33,10 +33,16 @@ BENCH_pipeline.json.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.driver import PipelineResult, PipelinerOptions, _maybe_verify, pipeline_loop
+from ..core.driver import (
+    PipelineResult,
+    PipelinerOptions,
+    StrictOptions,
+    _maybe_verify,
+    pipeline_loop,
+)
 from ..core.minii import min_ii as compute_min_ii
 from ..core.priorities import production_orders
 from ..core.sched import Schedule
@@ -132,7 +138,7 @@ def _parse_backends(spec: str) -> List[str]:
 
 
 @dataclass
-class PortfolioOptions:
+class PortfolioOptions(StrictOptions):
     """Configuration of the portfolio pipeliner."""
 
     # Per-loop search budget shared by *all* backends across *all* IIs.
@@ -153,19 +159,11 @@ class PortfolioOptions:
     max_nodes: int = 200_000  # deterministic per-solve budget (cp + ilp bnb)
     priority_branching: bool = True  # feed the ILP an SGI production order
 
+    def __post_init__(self) -> None:
+        self.backend_names()  # validate eagerly, inside the worker
+
     def backend_names(self) -> List[str]:
         return _parse_backends(self.backends)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PortfolioOptions":
-        """Build options from a JSON-style mapping (the repro.exec cell form)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown PortfolioOptions keys: {', '.join(unknown)}")
-        options = cls(**dict(data))
-        options.backend_names()  # validate eagerly, inside the worker
-        return options
 
 
 @dataclass

@@ -27,6 +27,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.driver import StrictOptions, _maybe_verify
 from ..core.minii import min_ii as compute_min_ii
 from ..core.sched import Schedule, SchedulingStats
 from ..core.spill import MAX_SPILL_ROUNDS, choose_spill_candidates, insert_spills
@@ -38,7 +39,7 @@ from ..regalloc.coloring import AllocationResult, allocate_schedule
 
 
 @dataclass
-class RauOptions:
+class RauOptions(StrictOptions):
     """Configuration of the iterative modulo scheduler."""
 
     budget_ratio: float = 5.0  # placements allowed per operation
@@ -258,7 +259,6 @@ def rau_pipeline_loop(
     ``repro.verify`` analyzers (``None`` = process default); ERROR
     diagnostics raise :class:`repro.verify.VerificationError`.
     """
-    from ..core.driver import _maybe_verify
     machine = machine if machine is not None else r8000()
     options = options or RauOptions()
     stats = SchedulingStats()

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..exec.bench import BenchOptions, summarise, write_bench_json
-from ..exec.cells import CellResult, corpus_loop_keys
+from ..exec.cells import PIPELINERS, CellResult, corpus_loop_keys
 from ..exec.hashing import code_version
 from ..obs.history import append_history
 from ..obs.provenance import provenance
@@ -53,7 +53,7 @@ class LoadgenOptions:
 
     requests: int = 240
     concurrency: int = 16
-    schedulers: Tuple[str, ...] = ("sgi", "most", "rau", "portfolio")
+    schedulers: Tuple[str, ...] = tuple(PIPELINERS)
     corpora: Tuple[str, ...] = ("livermore", "recbound")
     fuzz_corpus_dir: Optional[str] = str(DEFAULT_FUZZ_CORPUS_DIR)
     seed: int = 0

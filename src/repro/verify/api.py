@@ -2,7 +2,7 @@
 
 ``verify_all`` runs every applicable checker over the artifacts of one
 pipelined loop; ``verify_corpus`` sweeps a whole workload corpus through
-all three pipeliners (heuristic, MOST, Rau94) and verifies everything they
+the pipeliners of the pipeliner table and verifies everything they
 produce — the trust anchor behind the paper's "both emit correct schedules
 under identical constraints" premise.
 """
@@ -10,7 +10,7 @@ under identical constraints" premise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
@@ -120,13 +120,14 @@ class SweepResult:
 
     def formatted(self, verbose: bool = False) -> str:
         width = max((len(e.loop) for e in self.entries), default=4)
+        swidth = max((len(e.scheduler) for e in self.entries), default=5)
         lines = [f"verify {self.corpus}: {len(self.entries)} scheduled artifacts"]
         for e in self.entries:
             status = "FAIL" if e.errors else ("warn" if e.warnings else "ok")
             ii = f"II={e.ii}" if e.ii is not None else "unscheduled"
             rules = f"  [{', '.join(e.rules)}]" if e.rules and (verbose or e.errors) else ""
             lines.append(
-                f"  {e.loop.ljust(width)}  {e.scheduler:<5} {ii:>8}  "
+                f"  {e.loop.ljust(width)}  {e.scheduler.ljust(swidth)} {ii:>8}  "
                 f"{status}{rules}"
             )
         lines.append(
@@ -143,68 +144,42 @@ class SweepResult:
 
 def corpus_loops(corpus: str, machine: Optional[MachineDescription] = None) -> List[Loop]:
     """The loops of a named corpus: 'livermore', 'spec92', 'recbound' or 'all'."""
-    from ..workloads.livermore import livermore_kernels
-    from ..workloads.recbound import recbound_kernels
-    from ..workloads.spec92 import spec92_suite
+    from ..exec.cells import corpus_entries
 
-    if corpus == "livermore":
-        return livermore_kernels(machine)
-    if corpus == "spec92":
-        return [loop for bench in spec92_suite(machine) for loop in bench.loops]
-    if corpus == "recbound":
-        return recbound_kernels(machine)
-    if corpus == "all":
-        return (
-            corpus_loops("livermore", machine)
-            + corpus_loops("spec92", machine)
-            + corpus_loops("recbound", machine)
-        )
-    raise ValueError(
-        f"unknown corpus {corpus!r}; expected livermore, spec92, recbound or all"
-    )
+    return [loop for _, loop in corpus_entries(corpus, machine)]
 
 
 def verify_corpus(
     corpus: str,
-    schedulers: Optional[List[str]] = None,
+    schedulers: Optional[Sequence[str]] = None,
     machine: Optional[MachineDescription] = None,
-    most_time_limit: float = 2.0,
+    scheduler_options: Optional[Mapping[str, Mapping[str, Any]]] = None,
     emit: bool = True,
 ) -> SweepResult:
     """Sweep a corpus through the requested pipeliners and verify everything.
 
-    Schedulers: ``sgi`` (heuristic branch-and-bound), ``most`` (the
-    portfolio's ILP-only race, with heuristic fallback), ``rau``
-    (iterative modulo scheduling).  Schedules,
-    allocations and emitted code are all cross-checked; loops a scheduler
-    cannot pipeline are recorded but are not verification failures.
+    ``schedulers`` names rows of the pipeliner table
+    (:data:`repro.exec.cells.PIPELINERS`; default: all of them) and
+    ``scheduler_options`` maps a name to its JSON-style options.
+    Schedules, allocations and emitted code are all cross-checked; loops
+    a scheduler cannot pipeline are recorded but are not verification
+    failures.
     """
     # Imported lazily: the drivers import repro.verify for their verify=
     # hooks, so a module-level import here would be circular.
-    from ..core.driver import pipeline_loop
+    from ..exec.cells import PIPELINERS, run_pipeliner
     from ..machine.descriptions import r8000
-    from ..most.scheduler import MostOptions, most_pipeline_loop
     from ..pipeline.emit import emit_pipelined_code
-    from ..rau.scheduler import rau_pipeline_loop
 
     machine = machine if machine is not None else r8000()
-    schedulers = schedulers or ["sgi", "most", "rau"]
+    schedulers = list(schedulers or PIPELINERS)
+    scheduler_options = scheduler_options or {}
     sweep = SweepResult(corpus=corpus)
     for loop in corpus_loops(corpus, machine):
         for scheduler in schedulers:
-            if scheduler == "sgi":
-                result = pipeline_loop(loop, machine, verify=False)
-            elif scheduler == "most":
-                result = most_pipeline_loop(
-                    loop,
-                    machine,
-                    MostOptions(time_limit=most_time_limit, engine="scipy"),
-                    verify=False,
-                )
-            elif scheduler == "rau":
-                result = rau_pipeline_loop(loop, machine, verify=False)
-            else:
-                raise ValueError(f"unknown scheduler {scheduler!r}")
+            result = run_pipeliner(
+                scheduler, loop, machine, scheduler_options.get(scheduler), verify=False
+            )
             emitted = None
             if emit and result.success and result.allocation is not None:
                 emitted = emit_pipelined_code(result.schedule, result.allocation)

@@ -201,3 +201,46 @@ class TestExecPlumbing:
         totals = summarise(results)
         assert totals["bindings"] == {"resource": 1, "register_pressure": 1}
         assert totals["by_scheduler"]["sgi"]["bindings"]["resource"] == 1
+
+
+class TestPortfolioCells:
+    """The portfolio is classified from its own walk's II−1 probes."""
+
+    @pytest.mark.parametrize(
+        "key", ["recbound:rb_reg_farm", "livermore:lk18_hydro2d"]
+    )
+    def test_portfolio_cells_above_minii_get_a_binding(self, key):
+        from repro.exec.cells import Cell
+        from repro.exec.runner import ExecEngine
+
+        cell = Cell.make(key, "portfolio", simulate=False, explain=True)
+        result = ExecEngine(jobs=1).run([cell])[cell]
+        assert result.error is None
+        assert result.ii > result.min_ii and not result.fallback
+        explanation = result.explanation
+        assert "error" not in explanation
+        assert explanation["binding"] in BINDING_CLASSES
+        # No replay: the evidence is the walk's own probe trail at II−1.
+        target = result.ii - 1
+        assert explanation["replay"]["probes"] == [
+            probe for probe in result.backend_probes if probe["ii"] == target
+        ]
+
+    def test_probe_answers_map_to_bindings(self, machine):
+        from types import SimpleNamespace
+
+        from repro.obs.explain import _classify_portfolio_below
+        from repro.portfolio.answer import ProbeRecord
+
+        def classify(*probes):
+            result = SimpleNamespace(ii=5, probes=list(probes))
+            return _classify_portfolio_below(result, machine, None)[0]
+
+        screen = ProbeRecord(ii=4, backend="screen", answer="unsat")
+        unknown = ProbeRecord(ii=4, backend="cp", answer="unknown")
+        sat = ProbeRecord(ii=4, backend="ilp", answer="sat", witness_ok=True)
+        assert classify(screen) == "__proven__"
+        assert classify(unknown, ProbeRecord(ii=4, backend="ilp", answer="unsat")) == "__proven__"
+        assert classify(unknown, sat) == "register_pressure"
+        assert classify(unknown) == "search_budget"
+        assert classify(ProbeRecord(ii=3, backend="cp", answer="unsat")) == "search_budget"

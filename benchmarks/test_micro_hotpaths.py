@@ -1,8 +1,9 @@
 """Pinned-seed microbenchmarks of the scheduler hot paths (perf CI lane).
 
-Three timed kernels cover the inner loops the raw-speed campaign
+Four timed kernels cover the inner loops the raw-speed campaign
 optimized — reservation-table probing, distance-table construction and
-query, and one full branch-and-bound search — so a per-PR time series of
+query, one full branch-and-bound search, and register allocation (modulo
+renaming, interference graph, colouring) — so a per-PR time series of
 ``schedule_seconds`` exists below the full bench grid's noise floor.
 
 Two entry points:
@@ -23,12 +24,13 @@ to damp scheduler-preemption noise out of wall-clock microbenchmarks.
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import sys
 import time
 import warnings
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
@@ -38,9 +40,13 @@ from repro.core.bnb import BnBConfig, modulo_schedule_bnb  # noqa: E402
 from repro.core.distances import SccDistanceTables  # noqa: E402
 from repro.core.minii import min_ii  # noqa: E402
 from repro.core.priorities import order_by_name  # noqa: E402
+from repro.core.sched import Schedule  # noqa: E402
 from repro.machine.descriptions import r8000  # noqa: E402
 from repro.machine.resources import ModuloReservationTable  # noqa: E402
+from repro.rau.scheduler import iterative_modulo_schedule  # noqa: E402
+from repro.regalloc import allocate, rename_kernel  # noqa: E402
 from repro.workloads.livermore import livermore_kernels  # noqa: E402
+from repro.workloads.spec92 import spec92_suite  # noqa: E402
 
 OUTPUT_PATH = REPO_ROOT / "benchmarks" / "output" / "BENCH_micro.json"
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "baseline" / "BENCH_micro.json"
@@ -105,10 +111,34 @@ def bench_bnb_search() -> None:
         modulo_schedule_bnb(loop, machine, ii, priority, BnBConfig())
 
 
+@functools.lru_cache(maxsize=1)
+def _allocation_schedules() -> Tuple[Schedule, ...]:
+    """Rau94 schedules at MinII, built once outside the timing:
+    fpppp_integrals allocates (91 ranges), mdljdp2_force does not (277)."""
+    machine = r8000()
+    loops = {loop.name: loop for bench in spec92_suite(machine) for loop in bench.loops}
+    schedules = []
+    for name in ("fpppp_integrals", "mdljdp2_force"):
+        loop = loops[name]
+        ii = min_ii(loop, machine)
+        times = iterative_modulo_schedule(loop, machine, ii)
+        assert times is not None, name
+        schedules.append(Schedule(loop=loop, machine=machine, ii=ii, times=times))
+    return tuple(schedules)
+
+
+def bench_regalloc_allocate() -> None:
+    """Rename + allocate one succeeding and one failing schedule."""
+    for schedule in _allocation_schedules():
+        machine = schedule.machine
+        allocate(rename_kernel(schedule), machine.fp_regs, machine.int_regs)
+
+
 BENCHES: Dict[str, Callable[[], None]] = {
     "mrt_fits_place_remove": bench_mrt_fits_place_remove,
     "scc_distances": bench_scc_distances,
     "bnb_search": bench_bnb_search,
+    "regalloc_allocate": bench_regalloc_allocate,
 }
 
 

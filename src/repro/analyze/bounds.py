@@ -49,13 +49,13 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..ir.ddg import DDG, Dependence, DepKind
+from ..ir.ddg import DDG, Dependence
 from ..ir.loop import Loop
 from ..ir.operations import relative_bank
 from ..machine.descriptions import MachineDescription
 from ..core.minii import min_ii as compute_min_ii
 from ..core.minii import rec_mii, res_mii
-from ..regalloc.rename import value_reg_class
+from ..regalloc.rename import value_defs, value_reg_class
 
 Certificate = Dict[str, Any]
 
@@ -549,7 +549,7 @@ def prove_alloc_infeasible(
     """
     if ii <= 0:
         return None
-    defs = loop.defs_of()
+    defs = value_defs(loop)
     path_tables: Dict[int, SccPaths] = {}
 
     def paths_for(op: int) -> Optional[SccPaths]:
@@ -562,11 +562,9 @@ def prove_alloc_infeasible(
 
     by_class: Dict[str, List[Dict[str, Any]]] = {}
     for value in sorted(defs):
-        d = defs[value]
+        d, reg_class, uses = defs[value]
         best: Optional[Dict[str, Any]] = None
-        for arc in loop.ddg.arcs:
-            if arc.kind is not DepKind.FLOW or arc.value != value or arc.src != d:
-                continue
+        for arc in uses:
             # The witness weight is a lower bound on t(use) - t(def): the
             # arc's own constraint (latency - II*omega, which is 0 for a
             # self-recurrence where def and use coincide), improved by the
@@ -603,8 +601,7 @@ def prove_alloc_infeasible(
                 "omega": 0,
                 "path": [],
             }
-        cls = value_reg_class(loop, value).value
-        by_class.setdefault(cls, []).append(best)
+        by_class.setdefault(reg_class.value, []).append(best)
 
     invariants: Dict[str, List[str]] = {}
     for value in sorted(loop.live_in):

@@ -23,7 +23,11 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
 from ..obs import get_recorder
-from ..regalloc.coloring import AllocationResult, allocate_schedule
+from ..regalloc.coloring import (
+    AllocationResult,
+    allocate_schedule,
+    exceeds_register_file,
+)
 from .bankpolish import polish_bank_schedule
 from .bnb import BnBConfig, modulo_schedule_bnb, prepare_attempt
 from .iisearch import search_ii
@@ -338,11 +342,12 @@ def _repair_bank_grouping(
         if polished is not None:
             forms.append(polished)
         for form in forms:
-            allocation = (
-                base_allocation
-                if form is base_schedule
-                else allocate_schedule(form, machine)
-            )
+            if form is base_schedule:
+                allocation = base_allocation
+            elif exceeds_register_file(form, machine):
+                continue
+            else:
+                allocation = allocate_schedule(form, machine)
             if not allocation.success:
                 continue
             risk = _residual_risk(form, pairer)

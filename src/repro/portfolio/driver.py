@@ -49,7 +49,11 @@ from ..core.sched import Schedule
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
 from ..obs import get_recorder
-from ..regalloc.coloring import AllocationResult, allocate_schedule
+from ..regalloc.coloring import (
+    AllocationResult,
+    allocate_schedule,
+    exceeds_register_file,
+)
 from .answer import SAT, UNSAT, BackendAnswer, ProbeRecord, probe_disagreements
 from .cp import solve_cp
 from .formulation import ModuloFormulation, build_modulo_formulation, check_witness
@@ -376,21 +380,22 @@ def _search(
             times=times,
             producer=f"{race.producer}/{winner.backend}",
         )
-        allocation = allocate_schedule(schedule, machine)
-        if allocation.success:
-            return PortfolioResult(
-                success=True,
-                schedule=schedule,
-                allocation=allocation,
-                loop=loop,
-                min_ii=mii,
-                optimal=smaller_proven_infeasible,
-                winning_backend=winner.backend,
-                buffers=buffers,
-            )
-        # Register allocation failed at this II: a larger II shortens
-        # relative lifetimes, so keep walking the II range before
-        # resorting to the heuristic fallback.
+        if not exceeds_register_file(schedule, machine):
+            allocation = allocate_schedule(schedule, machine)
+            if allocation.success:
+                return PortfolioResult(
+                    success=True,
+                    schedule=schedule,
+                    allocation=allocation,
+                    loop=loop,
+                    min_ii=mii,
+                    optimal=smaller_proven_infeasible,
+                    winning_backend=winner.backend,
+                    buffers=buffers,
+                )
+        # Register allocation failed at this II (or MaxLive proves it
+        # would): a larger II shortens relative lifetimes, so keep walking
+        # the II range before resorting to the heuristic fallback.
         smaller_proven_infeasible = False
     return None
 

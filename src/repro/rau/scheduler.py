@@ -35,7 +35,11 @@ from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
 from ..machine.resources import ModuloReservationTable
 from ..obs import get_recorder
-from ..regalloc.coloring import AllocationResult, allocate_schedule
+from ..regalloc.coloring import (
+    AllocationResult,
+    allocate_schedule,
+    exceeds_register_file,
+)
 
 
 @dataclass
@@ -284,6 +288,10 @@ def rau_pipeline_loop(
             schedule = Schedule(
                 loop=current, machine=machine, ii=ii, times=times, producer="rau94"
             )
+            # Only the round's first failure picks spill candidates; later
+            # failures need no colouring when MaxLive already proves them.
+            if best_failed is not None and exceeds_register_file(schedule, machine):
+                continue
             allocation = allocate_schedule(schedule, machine)
             if allocation.success:
                 found = (schedule, allocation)

@@ -7,6 +7,7 @@ from .coloring import (
     allocate,
     allocate_schedule,
     color_graph,
+    exceeds_register_file,
 )
 from .rename import LiveRange, RenamedKernel, rename_kernel, value_reg_class
 
@@ -19,6 +20,7 @@ __all__ = [
     "allocate",
     "allocate_schedule",
     "color_graph",
+    "exceeds_register_file",
     "rename_kernel",
     "value_reg_class",
 ]

@@ -9,12 +9,13 @@ optimistically, then *select* colours in reverse order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..ir.operations import RegClass
 from ..obs import get_recorder
-from .rename import LiveRange, RenamedKernel
+from .rename import LiveRange, RenamedKernel, rename_kernel
 
 
 @dataclass
@@ -26,13 +27,37 @@ class InterferenceGraph:
 
     @classmethod
     def build(cls, ranges: Sequence[LiveRange], period: int) -> "InterferenceGraph":
+        """Edges between every pair of cyclically overlapping ranges.
+
+        Two ranges shorter than the period overlap exactly when one's start
+        lies in the other's interval, so each range looks up, by bisection
+        among the starts, the ranges starting inside its own cyclic window.
+        A range covering the whole period interferes with every other one.
+        """
         nodes = list(ranges)
         adjacency: Dict[str, Set[str]] = {r.name: set() for r in nodes}
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                if a.overlaps(b, period):
-                    adjacency[a.name].add(b.name)
-                    adjacency[b.name].add(a.name)
+
+        def link(i: int, j: int) -> None:
+            adjacency[nodes[i].name].add(nodes[j].name)
+            adjacency[nodes[j].name].add(nodes[i].name)
+
+        for i, r in enumerate(nodes):
+            if r.length >= period:
+                for j in range(len(nodes)):
+                    if j != i:
+                        link(i, j)
+        short = sorted(
+            (r.start % period, i) for i, r in enumerate(nodes) if r.length < period
+        )
+        # Starts over two laps, so a window wrapping past the period is one
+        # slice; a window shorter than the period meets each range once.
+        laps = short + [(start + period, i) for start, i in short]
+        starts = [start for start, _ in laps]
+        for start, i in short:
+            end = start + nodes[i].length
+            for _, j in laps[bisect_left(starts, start) : bisect_left(starts, end)]:
+                if j != i:
+                    link(i, j)
         return cls(nodes=nodes, adjacency=adjacency)
 
     def degree(self, name: str) -> int:
@@ -145,10 +170,27 @@ def allocate(renamed: RenamedKernel, fp_regs: int, int_regs: int) -> AllocationR
 
 def allocate_schedule(schedule, machine) -> AllocationResult:
     """Convenience wrapper: rename then allocate against a machine's files."""
-    from .rename import rename_kernel
-
     with get_recorder().span(
         "regalloc.allocate", loop=schedule.loop.name, ii=schedule.ii
     ):
         renamed = rename_kernel(schedule)
         return allocate(renamed, machine.fp_regs, machine.int_regs)
+
+
+def exceeds_register_file(schedule, machine) -> bool:
+    """True when MaxLive alone proves ``schedule`` unallocatable.
+
+    The ranges live in one cycle pairwise overlap, so they form a clique
+    of the interference graph; a class with more of them than registers
+    cannot be coloured, and :func:`allocate_schedule` would return
+    ``success=False``.  Callers that read only ``.success`` of a failed
+    allocation skip it when this holds.
+    """
+    max_live = rename_kernel(schedule).max_live
+    screened = (
+        max_live[RegClass.FP] > machine.fp_regs
+        or max_live[RegClass.INT] > machine.int_regs
+    )
+    if screened:
+        get_recorder().counter("regalloc.screened")
+    return screened

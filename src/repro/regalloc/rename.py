@@ -9,15 +9,22 @@ times and each value gets one register per replica.
 Live ranges are cyclic intervals on the unrolled kernel of ``U = kmin * II``
 cycles; two ranges of the same register class interfere when their cyclic
 intervals overlap.  Loop invariants are live for the whole kernel.
+
+``RenamedKernel.max_live`` counts, per register class, the most ranges live
+in one kernel cycle.  Ranges live in a common cycle pairwise overlap, so
+they form a clique of the interference graph: no allocation with fewer
+registers exists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import cached_property
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Tuple
 
-from ..ir.ddg import DepKind
+from ..ir.ddg import Dependence, DepKind
 from ..ir.loop import Loop
 from ..ir.operations import OpClass, RegClass, result_reg_class
 from ..core.sched import Schedule
@@ -51,20 +58,6 @@ class LiveRange:
         ) < other.length
 
 
-@dataclass
-class RenamedKernel:
-    """The result of modulo renaming a schedule."""
-
-    schedule: Schedule
-    kmin: int  # kernel replication (unroll) factor
-    ranges: List[LiveRange]
-    lifetimes: Dict[str, int]  # original value -> lifetime in cycles
-
-    @property
-    def period(self) -> int:
-        return self.kmin * self.schedule.ii
-
-
 def value_reg_class(loop: Loop, value: str) -> RegClass:
     """Register class of a virtual register.
 
@@ -82,72 +75,138 @@ def value_reg_class(loop: Loop, value: str) -> RegClass:
     return RegClass.FP
 
 
+class ValueDef(NamedTuple):
+    """A value defined in the loop body."""
+
+    op: int  # defining operation index
+    reg_class: RegClass
+    uses: List[Dependence]  # flow arcs leaving the definition, in DDG order
+
+
+def value_defs(loop: Loop) -> Dict[str, ValueDef]:
+    """Every value the loop defines, in definition order, indexed in one
+    pass over the DDG."""
+    defs = loop.defs_of()
+    uses: Dict[str, List[Dependence]] = {value: [] for value in defs}
+    for arc in loop.ddg.arcs:
+        if arc.kind is DepKind.FLOW and defs.get(arc.value) == arc.src:
+            uses[arc.value].append(arc)
+    return {
+        value: ValueDef(d, result_reg_class(loop.ops[d].opclass), uses[value])
+        for value, d in defs.items()
+    }
+
+
+@dataclass
+class RenamedKernel:
+    """The result of modulo renaming a schedule.
+
+    ``ranges`` is built on first use, so a caller that needs only the
+    pressure (``max_live``) never materialises the live ranges.
+    """
+
+    schedule: Schedule
+    kmin: int  # kernel replication (unroll) factor
+    lifetimes: Dict[str, int]  # original value -> lifetime in cycles
+    max_live: Dict[RegClass, int]  # most ranges of a class live in one cycle
+    values: Dict[str, ValueDef]
+    invariants: Dict[str, Tuple[RegClass, int]]  # live-in -> (class, users)
+
+    @property
+    def period(self) -> int:
+        return self.kmin * self.schedule.ii
+
+    @cached_property
+    def ranges(self) -> List[LiveRange]:
+        """kmin replicas per defined value, then one range per invariant."""
+        schedule, ii, period = self.schedule, self.schedule.ii, self.period
+        ranges: List[LiveRange] = []
+        for value, (d, cls, uses) in self.values.items():
+            start = schedule.time(d)
+            life = self.lifetimes[value]
+            carried = any(arc.omega > 0 for arc in uses)
+            for r in range(self.kmin):
+                ranges.append(
+                    LiveRange(
+                        name=f"{value}@{r}",
+                        value=value,
+                        reg_class=cls,
+                        start=(start + r * ii) % period,
+                        length=life,
+                        refs=1 + len(uses),
+                        span=life,
+                        carried=carried,
+                    )
+                )
+        for value, (cls, used) in self.invariants.items():
+            ranges.append(
+                LiveRange(
+                    name=f"{value}@in",
+                    value=value,
+                    reg_class=cls,
+                    start=0,
+                    length=period,
+                    refs=used,
+                    span=period,
+                    is_invariant=True,
+                )
+            )
+        return ranges
+
+
 def rename_kernel(schedule: Schedule) -> RenamedKernel:
-    """Compute the unroll factor and all cyclic live ranges for a schedule."""
+    """Compute the unroll factor, lifetimes and pressure for a schedule."""
     loop = schedule.loop
     ii = schedule.ii
 
     lifetimes: Dict[str, int] = {}
-    refs: Dict[str, int] = {}
-    carried: Dict[str, bool] = {}
-    defs = loop.defs_of()
-    for value, d in defs.items():
-        end: Optional[int] = None
-        count = 1
-        has_carried = False
-        for arc in loop.ddg.arcs:
-            if arc.kind is not DepKind.FLOW or arc.value != value or arc.src != d:
-                continue
-            use_time = schedule.time(arc.dst) + ii * arc.omega
-            end = use_time if end is None else max(end, use_time)
-            count += 1
-            if arc.omega > 0:
-                has_carried = True
+    defs = value_defs(loop)
+    for value, (d, _, uses) in defs.items():
         start = schedule.time(d)
-        if end is None:
-            end = start + 1  # dead in the kernel (result only needed at exit)
+        end = max(
+            (schedule.time(arc.dst) + ii * arc.omega for arc in uses),
+            default=start + 1,  # dead in the kernel (result only needed at exit)
+        )
         lifetimes[value] = max(end - start, 1)
-        refs[value] = count
-        carried[value] = has_carried
 
     kmin = 1
     for value, life in lifetimes.items():
         kmin = max(kmin, math.ceil(life / ii))
-    period = kmin * ii
 
-    ranges: List[LiveRange] = []
-    for value, d in defs.items():
-        life = lifetimes[value]
-        cls = value_reg_class(loop, value)
-        for r in range(kmin):
-            ranges.append(
-                LiveRange(
-                    name=f"{value}@{r}",
-                    value=value,
-                    reg_class=cls,
-                    start=(schedule.time(d) + r * ii) % period,
-                    length=life,
-                    refs=refs[value],
-                    span=life,
-                    carried=carried[value],
-                )
-            )
+    invariants: Dict[str, Tuple[RegClass, int]] = {}
     for value in sorted(loop.live_in):
         if value in defs:
             continue  # recurrences: the in-loop definition owns the register
         used = sum(1 for op in loop.ops if value in op.srcs)
-        if not used:
-            continue
-        ranges.append(
-            LiveRange(
-                name=f"{value}@in",
-                value=value,
-                reg_class=value_reg_class(loop, value),
-                start=0,
-                length=period,
-                refs=used,
-                span=period,
-                is_invariant=True,
-            )
-        )
-    return RenamedKernel(schedule=schedule, kmin=kmin, ranges=ranges, lifetimes=lifetimes)
+        if used:
+            invariants[value] = (value_reg_class(loop, value), used)
+
+    # Per class: live instances in each modulo slot, as slot-to-slot
+    # changes.  Every unrolled cycle sees the same count as its slot,
+    # because the kmin replicas of a value start at every kernel cycle
+    # congruent to its definition time.  A value live for ``laps`` whole
+    # IIs and ``rest`` cycles covers every slot ``laps`` times and ``rest``
+    # slots from its definition's once more; an invariant covers every slot.
+    delta = {cls: [0] * (ii + 1) for cls in RegClass}
+    for value, (d, cls, _) in defs.items():
+        laps, rest = divmod(lifetimes[value], ii)
+        first = schedule.time(d) % ii
+        end = first + rest
+        changes = delta[cls]
+        changes[0] += laps
+        changes[first] += 1
+        if end > ii:  # wraps past the last slot
+            changes[0] += 1
+            end -= ii
+        changes[end] -= 1
+    for cls, _ in invariants.values():
+        delta[cls][0] += 1
+    max_live = {cls: max(accumulate(changes[:ii])) for cls, changes in delta.items()}
+    return RenamedKernel(
+        schedule=schedule,
+        kmin=kmin,
+        lifetimes=lifetimes,
+        max_live=max_live,
+        values=defs,
+        invariants=invariants,
+    )

@@ -14,30 +14,7 @@ import argparse
 import sys
 import time
 
-from repro.eval import (
-    ExperimentConfig,
-    fig2_pipelining_effectiveness,
-    fig3_priority_heuristics,
-    fig4_membank_effectiveness,
-    fig5_ilp_vs_heuristic,
-    fig6_livermore,
-    fig7_static_quality,
-    sec47_compile_speed,
-    sec5_ii_parity,
-    sec5_scalability,
-)
-
-EXPERIMENTS = {
-    "fig2": fig2_pipelining_effectiveness,
-    "fig3": fig3_priority_heuristics,
-    "fig4": fig4_membank_effectiveness,
-    "fig5": fig5_ilp_vs_heuristic,
-    "fig6": fig6_livermore,
-    "fig7": fig7_static_quality,
-    "sec47": sec47_compile_speed,
-    "scalability": sec5_scalability,
-    "iiparity": sec5_ii_parity,
-}
+from repro.eval import EXPERIMENTS, ExperimentConfig
 
 
 def main() -> None:
@@ -60,7 +37,7 @@ def main() -> None:
     config = ExperimentConfig(most_time_limit=args.ilp_seconds)
     for name in names:
         start = time.perf_counter()
-        result = EXPERIMENTS[name](config)
+        result = EXPERIMENTS[name][0](config)
         elapsed = time.perf_counter() - start
         print(result.formatted())
         print(f"\n[{name} regenerated in {elapsed:.1f}s]\n")

@@ -1,6 +1,7 @@
 """Experiment harness: metrics, per-figure drivers, report rendering."""
 
 from .experiments import (
+    EXPERIMENTS,
     ExperimentConfig,
     ExperimentResult,
     ext_overhead_objective,
@@ -20,6 +21,7 @@ from .metrics import geometric_mean, speedup, weighted_relative_time
 from .report import Table, bar_chart
 
 __all__ = [
+    "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentResult",
     "Table",

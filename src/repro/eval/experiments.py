@@ -27,7 +27,6 @@ from ..exec.cells import Cell, CellResult
 from ..exec.runner import ExecEngine
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
-from ..most.scheduler import MostOptions
 from ..pipeline.overhead import pipeline_overhead
 from ..sim.layout import DataLayout
 from ..sim.perf import simulate_pipelined, simulate_sequential_body
@@ -35,6 +34,12 @@ from ..workloads.livermore import LONG_TRIPS, SHORT_TRIPS, livermore_kernels
 from ..workloads.spec92 import Benchmark, spec92_suite
 from .metrics import geometric_mean, weighted_relative_time
 from .report import Table, bar_chart
+
+
+#: The MOST cell options every experiment starts from: HiGHS (which
+#: ignores SGI-order branching), and the largest loop the study found an
+#: optimal schedule for.
+MOST_PRESET: Dict[str, Any] = {"engine": "scipy", "priority_branching": False, "max_ops": 61}
 
 
 @dataclass
@@ -45,9 +50,6 @@ class ExperimentConfig:
     seed: int = 0
     # ILP budget per loop; the paper used 3 minutes, benchmarks use less.
     most_time_limit: float = 10.0
-    most_engine: str = "scipy"
-    most_priority_branching: bool = False  # the bnb engine uses it; HiGHS ignores
-    most_max_ops: int = 61  # the largest optimal schedule the study found
     # Parallel execution and caching (repro.exec).
     jobs: int = 1
     cache_dir: Optional[str] = None  # None = no on-disk cache
@@ -57,26 +59,14 @@ class ExperimentConfig:
     def resolved_machine(self) -> MachineDescription:
         return self.machine if self.machine is not None else r8000()
 
-    def most_options(self, fallback: bool = True) -> MostOptions:
-        return MostOptions(
-            time_limit=self.most_time_limit,
-            engine=self.most_engine,
-            priority_branching=self.most_priority_branching,
-            max_ops=self.most_max_ops,
-            fallback=fallback,
-        )
-
     def most_cell_options(self, fallback: bool = True, **overrides: Any) -> Dict[str, Any]:
-        """The MOST options of :meth:`most_options` as a cell-options dict."""
-        options: Dict[str, Any] = {
+        """:data:`MOST_PRESET` under this config's budget, as cell options."""
+        return {
+            **MOST_PRESET,
             "time_limit": self.most_time_limit,
-            "engine": self.most_engine,
-            "priority_branching": self.most_priority_branching,
-            "max_ops": self.most_max_ops,
             "fallback": fallback,
+            **overrides,
         }
-        options.update(overrides)
-        return options
 
     def engine(self) -> ExecEngine:
         """The cell engine every experiment runs its batch through."""
@@ -713,7 +703,7 @@ def sec5_ii_parity(config: Optional[ExperimentConfig] = None) -> ExperimentResul
         pool.extend(
             (loop.name, _spec_key(bench, loop))
             for loop in bench.loops
-            if loop.n_ops <= config.most_max_ops
+            if loop.n_ops <= MOST_PRESET["max_ops"]
         )
     batch = _Batch(config)
     for name, key in pool:
@@ -862,3 +852,19 @@ def ext_overhead_objective(config: Optional[ExperimentConfig] = None) -> Experim
     return ExperimentResult(
         name="ext_overhead", table=table, summary=summary, cells=batch.all_results()
     )
+
+
+#: Every experiment the CLI can regenerate: name -> (driver, one-line blurb).
+EXPERIMENTS: Dict[str, Tuple[Callable[[ExperimentConfig], ExperimentResult], str]] = {
+    "fig2": (fig2_pipelining_effectiveness, "SPEC92 fp: pipelining on vs off"),
+    "fig3": (fig3_priority_heuristics, "single priority heuristic vs all four"),
+    "fig4": (fig4_membank_effectiveness, "memory-bank heuristics on vs off"),
+    "fig5": (fig5_ilp_vs_heuristic, "ILP vs MIPSpro, with/without bank pairing"),
+    "fig6": (fig6_livermore, "Livermore kernels, short and long trip counts"),
+    "fig7": (fig7_static_quality, "registers and overhead, MIPSpro minus ILP"),
+    "sec47": (sec47_compile_speed, "compile-speed comparison"),
+    "scalability": (sec5_scalability, "largest schedulable loop per technique"),
+    "iiparity": (sec5_ii_parity, "how often the ILP finds a lower II"),
+    "ext-rau": (ext_rau_comparison, "extension: add Rau94 iterative modulo scheduling"),
+    "ext-overhead": (ext_overhead_objective, "extension: overhead-minimising ILP objective"),
+}

@@ -18,7 +18,7 @@ import math
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.history import append_history
 from ..obs.provenance import provenance
@@ -42,6 +42,35 @@ BENCH_CELL_FIELDS = (
 )
 
 
+#: Cell options by preset and scheduler; a scheduler a preset omits runs
+#: on its defaults.  ``bench`` is the grid's.  Its ILP budget is primarily
+#: the *node* limit: node-limited solves stop at identical search states
+#: regardless of machine load, so ``--jobs 1`` and ``--jobs N`` emit
+#: identical schedules.  The wall budget is a generous backstop, and the
+#: cell timeout the hard one.  The portfolio runs in cross-check mode:
+#: every backend answers every (loop, II) probe, so the BENCH json
+#: carries the full agreement trail (and per-backend solve seconds)
+#: rather than just the race winner.  ``trace`` runs MOST on our own B&B
+#: engine: unlike scipy's HiGHS, it reports nodes and simplex iterations
+#: for every solve (the CLI adds the budget).
+SCHEDULER_PRESETS: Dict[str, Dict[str, Dict[str, Any]]] = {
+    "bench": {
+        "most": {"time_limit": 20.0, "engine": "scipy", "max_ops": 61, "max_nodes": 4000},
+        "portfolio": {
+            "time_limit": 20.0,
+            "backends": "cp,ilp",
+            "max_ops": 61,
+            "max_nodes": 20_000,
+            "cross_check": True,
+        },
+    },
+    "trace": {"most": {"engine": "bnb", "max_ops": 61}},
+}
+
+#: MOST's node budget on the quick (CI smoke) grid.
+QUICK_MAX_NODES = 2000
+
+
 @dataclass
 class BenchOptions:
     """Knobs of a bench run; ``quick`` is the CI smoke configuration."""
@@ -52,23 +81,6 @@ class BenchOptions:
     jobs: int = 1
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR
     use_cache: bool = True
-    # The ILP budget is primarily the *node* limit: node-limited solves
-    # stop at identical search states regardless of machine load, so
-    # ``--jobs 1`` and ``--jobs N`` emit identical schedules.  The wall
-    # budget is a generous backstop, and the cell timeout the hard one.
-    most_time_limit: float = 20.0
-    most_engine: str = "scipy"
-    most_max_ops: int = 61
-    most_max_nodes: int = 4000
-    # The backend portfolio runs in cross-check mode on the grid: every
-    # registered backend answers every (loop, II) probe, so the emitted
-    # BENCH json carries the full agreement trail (and per-backend solve
-    # seconds) rather than just the race winner.  Like MOST, node limits
-    # are the deterministic budget; the wall clock is a backstop.
-    portfolio_time_limit: float = 20.0
-    portfolio_backends: str = "cp,ilp"
-    portfolio_max_nodes: int = 20_000
-    portfolio_cross_check: bool = True
     cell_timeout: Optional[float] = 120.0
     seed: int = 0
     output_dir: pathlib.Path = field(default_factory=lambda: DEFAULT_OUTPUT_DIR)
@@ -98,27 +110,15 @@ class BenchOptions:
             # recbound stays in — it is six loops, and it is the corpus
             # where the certified static bounds actually prune the search.
             self.corpora = ("livermore", "recbound")
-            self.most_max_nodes = min(self.most_max_nodes, 2000)
             self.cell_timeout = 60.0
         self.output_dir = pathlib.Path(self.output_dir)
 
-    def scheduler_options(self, scheduler: str) -> Dict:
-        if scheduler == "most":
-            return {
-                "time_limit": self.most_time_limit,
-                "engine": self.most_engine,
-                "max_ops": self.most_max_ops,
-                "max_nodes": self.most_max_nodes,
-            }
-        if scheduler == "portfolio":
-            return {
-                "time_limit": self.portfolio_time_limit,
-                "backends": self.portfolio_backends,
-                "max_ops": self.most_max_ops,
-                "max_nodes": self.portfolio_max_nodes,
-                "cross_check": self.portfolio_cross_check,
-            }
-        return {}
+    def scheduler_options(self, scheduler: str) -> Dict[str, Any]:
+        """The ``bench`` preset's options for ``scheduler``, quick cap applied."""
+        options = dict(SCHEDULER_PRESETS["bench"].get(scheduler, {}))
+        if self.quick and scheduler == "most":
+            options["max_nodes"] = QUICK_MAX_NODES
+        return options
 
     def engine(self, progress: Optional[ProgressFn] = None) -> ExecEngine:
         cache = (
@@ -294,7 +294,7 @@ def build_report(
         "corpora": list(options.corpora),
         "schedulers": list(options.schedulers),
         "cell_timeout": options.cell_timeout,
-        "most_time_limit": options.most_time_limit,
+        "most_time_limit": SCHEDULER_PRESETS["bench"]["most"]["time_limit"],
         "wall_seconds": wall_seconds,
         "cache": None
         if cache is None

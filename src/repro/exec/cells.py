@@ -31,8 +31,7 @@ from ..machine.descriptions import MachineDescription, r8000
 class Outcome:
     """What a pipeliner's result reports besides its schedule, under
     :class:`CellResult`'s field names.  The optimal pipeliners never spill:
-    their spill rounds are the heuristic fallback's.  Rau94 reports the
-    spilled value set, so any spill counts as one round."""
+    their spill rounds are the heuristic fallback's."""
 
     spill_rounds: int = 0
     optimal: bool = False
@@ -44,10 +43,6 @@ class Outcome:
 
 def _heuristic_outcome(result) -> Outcome:
     return Outcome(spill_rounds=result.spill_rounds, order_name=result.order_name)
-
-
-def _rau_outcome(result) -> Outcome:
-    return Outcome(spill_rounds=1 if result.spilled else 0)
 
 
 def _walk_outcome(result) -> Outcome:
@@ -75,7 +70,7 @@ class Pipeliner(NamedTuple):
 PIPELINERS: Dict[str, Pipeliner] = {
     "sgi": Pipeliner("core.driver", "PipelinerOptions", "pipeline_loop", _heuristic_outcome),
     "most": Pipeliner("most.scheduler", "MostOptions", "most_pipeline_loop", _walk_outcome),
-    "rau": Pipeliner("rau.scheduler", "RauOptions", "rau_pipeline_loop", _rau_outcome),
+    "rau": Pipeliner("rau.scheduler", "RauOptions", "rau_pipeline_loop", _heuristic_outcome),
     "portfolio": Pipeliner(
         "portfolio.driver", "PortfolioOptions", "portfolio_pipeline_loop", _walk_outcome
     ),

@@ -445,78 +445,8 @@ def apply_trend_gating(diff: BenchDiff, trend_report) -> Dict[str, Any]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro diff <old> <new> [--strict] [--trend]``."""
-    import argparse
     import sys
 
-    parser = argparse.ArgumentParser(
-        prog="repro diff",
-        description="Attributed diff of two BENCH_*.json runs",
-    )
-    parser.add_argument("old", help="baseline bench json (file or directory)")
-    parser.add_argument("new", help="fresh bench json (file or directory)")
-    parser.add_argument(
-        "--name", default="pipeline",
-        help="which BENCH_<name>.json to resolve when old/new are "
-        "directories (default: pipeline; e.g. 'service')",
-    )
-    parser.add_argument(
-        "--time-tolerance", type=float, default=DEFAULT_TIME_TOLERANCE,
-        help="per-scheduler schedule-time ratio that triggers a warning "
-        f"(default: {DEFAULT_TIME_TOLERANCE})",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 on quality regressions (default: warn only)",
-    )
-    parser.add_argument(
-        "--trend", action="store_true",
-        help="judge the fresh run against the stored run history too: a "
-        "timing/latency step change starting at this run is escalated "
-        "from warning to regression",
-    )
-    parser.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help="run-history root for --trend (default: benchmarks/history)",
-    )
-    parser.add_argument(
-        "--verbose", "-v", action="store_true",
-        help="list every aligned cell, changed or not",
-    )
-    parser.add_argument(
-        "--json", dest="json_out", default=None, metavar="PATH",
-        help="write the full diff as JSON to this path ('-' for stdout)",
-    )
-    args = parser.parse_args(argv)
+    from ..__main__ import main as cli
 
-    new_payload = load_bench(args.new, args.name)
-    diff = diff_reports(
-        load_bench(args.old, args.name), new_payload, args.time_tolerance
-    )
-    trend_dict = None
-    if args.trend:
-        from .history import DEFAULT_HISTORY_DIR
-        from .trend import trend_with_payload
-
-        history_dir = args.history_dir or DEFAULT_HISTORY_DIR
-        trend = trend_with_payload(args.name, new_payload, history_dir=history_dir)
-        trend_dict = apply_trend_gating(diff, trend)
-
-    payload = diff.to_dict()
-    if trend_dict is not None:
-        payload["trend"] = trend_dict
-    if args.json_out == "-":
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        print(diff.formatted(verbose=args.verbose))
-        if args.json_out:
-            pathlib.Path(args.json_out).write_text(
-                json.dumps(payload, indent=1, sort_keys=True) + "\n"
-            )
-    if diff.regressions and args.strict:
-        return 1
-    if diff.regressions:
-        print(
-            f"({len(diff.regressions)} regressions; warn-only, pass --strict to fail)",
-            file=sys.stderr if args.json_out == "-" else sys.stdout,
-        )
-    return 0
+    return cli(["diff", *(sys.argv[1:] if argv is None else argv)])

@@ -17,8 +17,8 @@ This module produces that attribution as a per-(loop × scheduler)
   counters into exactly one binding-constraint class — unless a
   :mod:`repro.analyze` certificate already covers the whole gap, in which
   case the attribution **cites the certificate** (machine-checkable, and
-  cheaper than the replay).  The portfolio needs no replay: its walk
-  already recorded every backend's answer at II−1:
+  cheaper than the replay).  MOST and the portfolio need no replay: their
+  walk already recorded every backend's answer at II−1:
 
   ==================  ==================================================
   ``recurrence``      II == MinII and RecMII > ResMII (or II−1 proven
@@ -59,11 +59,6 @@ BINDING_CLASSES = (
 
 #: Classes that mean "the schedule is as good as the MinII bound allows".
 AT_BOUND_CLASSES = ("recurrence", "resource")
-
-#: Wall-clock ceiling on one ILP replay solve; the replay is diagnostic,
-#: not a benchmark, so it never inherits the full paper budget.
-REPLAY_ILP_SECONDS = 5.0
-
 
 # ---------------------------------------------------------------------------
 # MinII profile: which side of max(ResMII, RecMII) binds, and why.
@@ -478,68 +473,6 @@ def _classify_sgi_below(result, machine, options) -> Tuple[str, str, Dict[str, A
     return "search_exhausted", detail, evidence
 
 
-def _classify_most_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
-    """Replay the ILP one II below the achieved schedule."""
-    from ..core.sched import Schedule
-    from ..ilp.solver import SolverOptions, Status, solve_milp
-    from ..portfolio.ilp_backend import build_formulation
-
-    loop = result.loop
-    target = result.ii - 1
-    evidence: Dict[str, Any] = {"ii": target}
-    formulation = build_formulation(
-        loop, machine, target, stages=options.stages,
-        minimize_buffers=options.integrated,
-    )
-    if formulation.infeasible:
-        evidence["proof"] = "window_collapse"
-        detail = f"II−1={target} proven infeasible (ASAP/ALAP window collapse)"
-        return "__proven__", detail, evidence
-    solve = solve_milp(
-        formulation.model,
-        SolverOptions(
-            time_limit=min(REPLAY_ILP_SECONDS, options.time_limit),
-            engine=options.engine,
-            max_nodes=options.max_nodes,
-            first_solution=True,
-        ),
-    )
-    evidence.update(
-        status=solve.status.name,
-        nodes=solve.nodes,
-        limit=solve.limit,
-        seconds=round(solve.seconds, 4),
-    )
-    if solve.status is Status.INFEASIBLE:
-        evidence["proof"] = "ilp_infeasible"
-        detail = f"ILP proved II−1={target} infeasible"
-        return "__proven__", detail, evidence
-    if solve.has_solution:
-        schedule = Schedule(
-            loop=loop, machine=machine, ii=target,
-            times=formulation.decode_times(solve), producer="most/replay",
-        )
-        allocation = _allocate(schedule, machine)
-        evidence["alloc_success"] = allocation.success
-        evidence["uncolored"] = len(allocation.uncolored)
-        if not allocation.success:
-            detail = (
-                f"ILP schedules II−1={target} but "
-                f"{len(allocation.uncolored)} live range(s) failed to colour"
-            )
-            return "register_pressure", detail, evidence
-        detail = (
-            f"II−1={target} solvable on replay; the production solve "
-            "budget expired before reaching it"
-        )
-        return "search_budget", detail, evidence
-    detail = (
-        f"II−1={target} solve stopped by the "
-        f"{solve.limit or 'node'} limit without a solution"
-    )
-    return "search_budget", detail, evidence
-
-
 def _classify_rau_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
     """Replay iterative modulo scheduling one II below the achieved one."""
     from ..core.sched import Schedule, SchedulingStats
@@ -607,10 +540,11 @@ def _classify_portfolio_below(result, machine, options) -> Tuple[str, str, Dict[
 
 
 #: II−1 classifiers by scheduler: a replay of the failed attempt, or (the
-#: portfolio) a reading of the probes its own walk recorded there.
+#: optimal pipeliners, MOST and the portfolio) a reading of the probes
+#: their shared walk recorded there.
 _CLASSIFIERS = {
     "sgi": _classify_sgi_below,
-    "most": _classify_most_below,
+    "most": _classify_portfolio_below,
     "rau": _classify_rau_below,
     "portfolio": _classify_portfolio_below,
 }

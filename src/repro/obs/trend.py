@@ -489,56 +489,6 @@ def history_panel_data(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro trend <name> [--check] [--json PATH|-]``."""
-    import argparse
+    from ..__main__ import main as cli
 
-    parser = argparse.ArgumentParser(
-        prog="repro trend",
-        description="Classify every metric series of a stored run history "
-        "as stable, noisy, drift or step_change (with the changepoint "
-        "attributed to a commit range).",
-    )
-    parser.add_argument(
-        "name", nargs="?", default="pipeline",
-        help="history series to judge: pipeline, service, micro, "
-        "sweep_<corpus>, ... (default: pipeline)",
-    )
-    parser.add_argument(
-        "--history-dir", default=str(DEFAULT_HISTORY_DIR), metavar="DIR",
-        help=f"run-history root (default: {DEFAULT_HISTORY_DIR})",
-    )
-    parser.add_argument(
-        "--last", type=int, default=20, metavar="N",
-        help="judge only the most recent N stored runs (default: 20)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 when any series shows a bad-direction step change or "
-        "drift (timings/latency up, II up, hit rate down)",
-    )
-    parser.add_argument(
-        "--json", dest="json_out", default=None, metavar="PATH",
-        help="write the full report as JSON ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--verbose", "-v", action="store_true",
-        help="list every series, stable ones included",
-    )
-    args = parser.parse_args(argv)
-
-    report = trend_report(args.name, history_dir=args.history_dir, last=args.last)
-    if args.json_out == "-":
-        print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
-    else:
-        print(report.formatted(verbose=args.verbose))
-        if args.json_out:
-            path = pathlib.Path(args.json_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n")
-            print(f"wrote {path}")
-    if not report.runs:
-        print(f"no stored runs for {args.name!r} under {args.history_dir}",
-              file=sys.stderr)
-        return 0
-    if args.check and not report.ok:
-        return 1
-    return 0
+    return cli(["trend", *(sys.argv[1:] if argv is None else argv)])

@@ -62,7 +62,10 @@ class RauResult:
     original: Loop
     min_ii: int
     spilled: List[str] = field(default_factory=list)
+    spill_rounds: int = 0
     stats: SchedulingStats = field(default_factory=SchedulingStats)
+    #: Rau94 has one priority function (HeightR), not SGI's named orders.
+    order_name = ""
 
     @property
     def ii(self) -> Optional[int]:
@@ -272,7 +275,9 @@ def rau_pipeline_loop(
     current = loop
     spilled_total: List[str] = []
     spill_budget = 1
+    rounds_done = 0
     for spill_round in range(options.max_spill_rounds + 1):
+        rounds_done = spill_round
         mii = compute_min_ii(current, machine)
         best_failed: Optional[Tuple[Schedule, AllocationResult]] = None
         found = None
@@ -308,6 +313,7 @@ def rau_pipeline_loop(
                     original=original,
                     min_ii=original_min_ii,
                     spilled=spilled_total,
+                    spill_rounds=spill_round,
                     stats=stats,
                 ),
                 machine,
@@ -333,5 +339,6 @@ def rau_pipeline_loop(
         original=original,
         min_ii=original_min_ii,
         spilled=spilled_total,
+        spill_rounds=rounds_done,
         stats=stats,
     )

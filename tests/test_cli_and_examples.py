@@ -63,6 +63,11 @@ class TestExamples:
         assert "lk05_tridiag" in out
         assert "columns:" in out
 
+    def test_spec92_report_help(self):
+        out = run_example("spec92_report.py", "--help")
+        for name in EXPERIMENTS:
+            assert name in out
+
     def test_register_pressure(self):
         out = run_example("register_pressure.py")
         assert "spilled after" in out

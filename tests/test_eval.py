@@ -98,10 +98,10 @@ class TestExperimentHelpers:
     def test_config_resolution(self):
         config = ExperimentConfig()
         assert config.resolved_machine().name == "r8000"
-        options = config.most_options()
-        assert options.time_limit == config.most_time_limit
-        assert options.fallback
-        assert not config.most_options(fallback=False).fallback
+        options = config.most_cell_options()
+        assert options["time_limit"] == config.most_time_limit
+        assert options["fallback"]
+        assert not config.most_cell_options(fallback=False)["fallback"]
 
 
 class TestCorpusProfiles:

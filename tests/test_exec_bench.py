@@ -17,6 +17,7 @@ from repro.exec import (
     summarise,
     write_bench_json,
 )
+from repro.exec.bench import SCHEDULER_PRESETS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -27,13 +28,13 @@ class TestBenchOptions:
         # recbound stays in the quick lane: it is only six loops, and it
         # is where the certified static bounds actually prune.
         assert options.corpora == ("livermore", "recbound")
-        assert options.most_max_nodes <= 2000
+        assert options.scheduler_options("most")["max_nodes"] <= 2000
         assert options.cell_timeout == 60.0
 
     def test_most_cells_are_node_limited(self):
         options = BenchOptions()
         most = options.scheduler_options("most")
-        assert most["max_nodes"] == options.most_max_nodes
+        assert most["max_nodes"] == SCHEDULER_PRESETS["bench"]["most"]["max_nodes"]
         assert options.scheduler_options("sgi") == {}
 
     def test_grid_shape(self):

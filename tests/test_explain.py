@@ -244,3 +244,32 @@ class TestPortfolioCells:
         assert classify(unknown, sat) == "register_pressure"
         assert classify(unknown) == "search_budget"
         assert classify(ProbeRecord(ii=3, backend="cp", answer="unsat")) == "search_budget"
+
+
+class TestMostCells:
+    """MOST shares the portfolio's walk, so it is classified the same way."""
+
+    def test_lk18_reads_the_walk_probes_without_solving(self, machine, monkeypatch):
+        import repro.ilp.solver as solver
+        import repro.portfolio.ilp_backend as ilp_backend
+        from repro.exec.cells import run_pipeliner
+        from repro.obs.explain import explain_result
+
+        # ``repro explain``'s MOST options: the bnb engine, a 5 s budget.
+        options = {"time_limit": 5.0}
+        result = run_pipeliner(
+            "most", resolve_loop("livermore:lk18_hydro2d", machine), machine, options
+        )
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("explaining a MOST cell ran an ILP solve")
+
+        monkeypatch.setattr(solver, "solve_milp", no_solve)
+        monkeypatch.setattr(ilp_backend, "solve_milp", no_solve)
+        explanation = explain_result(result, "most", machine, options)
+        assert (explanation.ii, explanation.min_ii) == (8, 7)
+        # The walk checked a schedule at II 7 whose allocation then failed.
+        assert explanation.binding == "register_pressure"
+        assert explanation.replay["probes"] == [
+            probe.to_dict() for probe in result.probes if probe.ii == 7
+        ]

@@ -74,12 +74,12 @@ class TestTable:
 
 class TestOutcome:
     def test_rau_cell_and_explanation_agree_on_spill_rounds(self):
-        # Rau94 spills 7 values on lk09: one spill round by the table's
-        # reading, in the bench cell and in its explanation alike.
+        # Rau94 spills 7 values on lk09 over three spill rounds, and the
+        # bench cell and its explanation both report the three.
         cell = Cell.make("livermore:lk09_predict", "rau", simulate=False, explain=True)
         result = CellResult.from_dict(execute_cell(cell.to_dict(), in_worker=False))
         assert result.error is None
-        assert result.spill_rounds == 1
+        assert result.spill_rounds == 3
         assert result.explanation["spill_rounds"] == result.spill_rounds
 
     def test_strict_rau_options(self):

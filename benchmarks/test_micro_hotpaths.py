@@ -1,10 +1,11 @@
 """Pinned-seed microbenchmarks of the scheduler hot paths (perf CI lane).
 
-Four timed kernels cover the inner loops the raw-speed campaign
-optimized — reservation-table probing, distance-table construction and
-query, one full branch-and-bound search, and register allocation (modulo
-renaming, interference graph, colouring) — so a per-PR time series of
-``schedule_seconds`` exists below the full bench grid's noise floor.
+Five timed kernels cover the scheduler inner loops — reservation-table
+probing, distance-table construction and query, one full
+branch-and-bound search, register allocation (modulo renaming,
+interference graph, colouring) and a fixed number of CP search nodes —
+so a per-change time series of ``schedule_seconds`` exists below the full
+bench grid's noise floor.
 
 Two entry points:
 
@@ -43,6 +44,8 @@ from repro.core.priorities import order_by_name  # noqa: E402
 from repro.core.sched import Schedule  # noqa: E402
 from repro.machine.descriptions import r8000  # noqa: E402
 from repro.machine.resources import ModuloReservationTable  # noqa: E402
+from repro.portfolio.cp import solve_cp  # noqa: E402
+from repro.portfolio.formulation import build_modulo_formulation  # noqa: E402
 from repro.rau.scheduler import iterative_modulo_schedule  # noqa: E402
 from repro.regalloc import allocate, rename_kernel  # noqa: E402
 from repro.workloads.livermore import livermore_kernels  # noqa: E402
@@ -134,11 +137,27 @@ def bench_regalloc_allocate() -> None:
         allocate(rename_kernel(schedule), machine.fp_regs, machine.int_regs)
 
 
+@functools.lru_cache(maxsize=1)
+def _cp_formulation():
+    """tomcatv_main at MinII, where every CP order runs out its nodes."""
+    machine = r8000()
+    loops = {loop.name: loop for bench in spec92_suite(machine) for loop in bench.loops}
+    loop = loops["tomcatv_main"]
+    return build_modulo_formulation(loop, machine, min_ii(loop, machine))
+
+
+def bench_cp_search() -> None:
+    """5,000 nodes of the fail-first CP search: the cost per node."""
+    answer = solve_cp(_cp_formulation(), max_nodes=5_000)
+    assert answer.nodes == 5_000, answer
+
+
 BENCHES: Dict[str, Callable[[], None]] = {
     "mrt_fits_place_remove": bench_mrt_fits_place_remove,
     "scc_distances": bench_scc_distances,
     "bnb_search": bench_bnb_search,
     "regalloc_allocate": bench_regalloc_allocate,
+    "cp_search": bench_cp_search,
 }
 
 

@@ -9,7 +9,8 @@ shared :class:`SolveBudget`, where the first definitive sat/unsat answer
 ends the round and an unknown answer hands over to the next racer.
 
 * The portfolio (:func:`portfolio_pipeline_loop`) races backends: CP
-  propagation, the time-indexed ILP, optionally Z3.  ``cross_check`` mode
+  propagation restarted over SGI's priority orders (alone by default),
+  the time-indexed ILP, optionally Z3.  ``cross_check`` mode
   instead queries every backend and records the full probe trail, which
   is what the cross-backend agreement oracle audits.
 * MOST (:func:`repro.most.most_pipeline_loop`) races the ILP alone, once
@@ -26,8 +27,8 @@ walk accepts it.
 
 Per-backend effort lands in ``repro.obs`` counters
 (``portfolio.<backend>.seconds``, ``.sat``, ``.unsat``, ``.unknown``,
-``.nodes``), so traced bench runs aggregate solver effort per backend in
-BENCH_pipeline.json.
+``.nodes``, and CP's ``portfolio.cp.restarts``), so traced bench runs
+aggregate solver effort per backend in BENCH_pipeline.json.
 """
 
 from __future__ import annotations
@@ -147,24 +148,35 @@ class PortfolioOptions(StrictOptions):
 
     # Per-loop search budget shared by *all* backends across *all* IIs.
     time_limit: float = 20.0
-    # Comma-separated race order.  The default deliberately omits smt:
-    # z3's budget is wall-clock only, so letting it decide results would
-    # make committed benchmarks machine-dependent; cross-check lanes and
-    # the CI z3 matrix opt it in explicitly.
-    backends: str = "cp,ilp"
+    # Comma-separated race order.  The default is CP alone: with restarts
+    # over SGI's orders it decides every probe the ILP ever decided on the
+    # committed corpora, and the ILP's slices decided none on their own.
+    # smt stays out too: z3's budget is wall-clock only, so letting it
+    # decide results would make committed benchmarks machine-dependent.
+    # The bench preset, the fuzz oracle, cross-check lanes and the CI z3
+    # matrix name the other backends explicitly.
+    backends: str = "cp"
     # Query every backend at every II (instead of stopping at the first
     # definitive answer) and record the full probe trail — the agreement
-    # oracle's mode.  Costs roughly a factor of len(backends).
+    # oracle's mode.  Costs roughly a factor of len(backends), and needs
+    # at least two of them.
     cross_check: bool = False
     max_ops: int = 80  # loops beyond this go straight to the fallback
     ii_cap_factor: int = 2
     stages: Optional[int] = None
     fallback: bool = True  # use the heuristic pipeliner as backup
-    max_nodes: int = 200_000  # deterministic per-solve budget (cp + ilp bnb)
+    # Deterministic per-solve budget: the ILP's B&B nodes, and the nodes of
+    # each order CP restarts over.
+    max_nodes: int = 20_000
     priority_branching: bool = True  # feed the ILP an SGI production order
 
     def __post_init__(self) -> None:
-        self.backend_names()  # validate eagerly, inside the worker
+        names = self.backend_names()  # validate eagerly, inside the worker
+        if self.cross_check and len(names) < 2:
+            raise ValueError(
+                f"cross_check needs at least two backends to compare, "
+                f"got {self.backends!r}"
+            )
 
     def backend_names(self) -> List[str]:
         return _parse_backends(self.backends)
@@ -242,19 +254,22 @@ class Race:
 
 
 def _backend_callable(
-    name: str, loop: Loop, machine: MachineDescription, options: PortfolioOptions
+    name: str,
+    loop: Loop,
+    options: PortfolioOptions,
+    orders: Dict[str, List[int]],
 ) -> Racer:
-    """Bind one backend name to a ``(formulation, time_limit) -> answer``."""
+    """Bind one backend name to a ``(formulation, time_limit) -> answer``.
+
+    ``orders`` are the loop's production priority orders, built once:
+    CP restarts over all of them, and the ILP branches in the first.
+    """
     if name == "cp":
         return lambda f, limit: solve_cp(
-            f, time_limit=limit, max_nodes=options.max_nodes
+            f, time_limit=limit, max_nodes=options.max_nodes, orders=orders
         )
     if name == "ilp":
-        order = (
-            next(iter(production_orders(loop, machine).values()))
-            if options.priority_branching
-            else None
-        )
+        order = next(iter(orders.values())) if options.priority_branching else None
         return lambda f, limit: solve_ilp(
             f,
             loop,
@@ -463,11 +478,15 @@ def portfolio_pipeline_loop(
     options = options or PortfolioOptions()
     requested = options.backend_names()
     usable = [n for n in requested if n != "smt" or smt_available()]
+    if options.cross_check and len(usable) < 2:
+        raise ValueError(
+            f"cross_check needs at least two usable backends to compare, "
+            f"got {', '.join(usable)} of {options.backends!r} (z3 is not installed)"
+        )
+    orders = production_orders(loop, machine)
     race = Race(
         producer="portfolio",
-        racers=[
-            (name, _backend_callable(name, loop, machine, options)) for name in usable
-        ],
+        racers=[(name, _backend_callable(name, loop, options, orders)) for name in usable],
         min_slice=PORTFOLIO_MIN_SLICE,
         cross_check=options.cross_check,
     )

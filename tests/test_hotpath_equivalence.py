@@ -2,8 +2,9 @@
 
 The campaign's contract is *bit-identical outcomes, only speed moves*:
 
-* :class:`PackedModuloReservationTable` must agree with the retained
-  :class:`DictModuloReservationTable` on every ``fits/place/remove/used_at``
+* :class:`PackedModuloReservationTable` must agree with the original
+  :class:`DictModuloReservationTable` (kept in ``tests/reference_tables.py``)
+  on every ``fits/place/remove/used_at``
   observation — hypothesis drives random reservation tables, IIs and
   availability maps through identical operation sequences on both;
 * memoized :class:`SccDistanceTables` (parametric Pareto profiles) must
@@ -27,7 +28,6 @@ from repro.core.minii import min_ii
 from repro.core.priorities import production_orders
 from repro.machine.descriptions import r8000
 from repro.machine.resources import (
-    DictModuloReservationTable,
     PackedModuloReservationTable,
     ReservationTable,
     ResourceUse,
@@ -35,6 +35,8 @@ from repro.machine.resources import (
 from repro.workloads.livermore import livermore_kernels
 from repro.workloads.recbound import recbound_kernels
 from repro.workloads.spec92 import spec92_suite
+
+from .reference_tables import DictModuloReservationTable, FloydWarshallDistances
 
 MACHINE = r8000()
 
@@ -145,8 +147,8 @@ class TestMemoizedDistances:
         for loop in _corpus():
             mii = min_ii(loop, MACHINE)
             for ii in range(mii, mii + 5):
-                memoized = SccDistanceTables(loop, ii, memo=True)
-                legacy = SccDistanceTables(loop, ii, memo=False)
+                memoized = SccDistanceTables(loop, ii)
+                legacy = FloydWarshallDistances(loop, ii)
                 assert memoized.feasible == legacy.feasible, (loop.name, ii)
                 for scc in loop.ddg.nontrivial_sccs():
                     for src in scc:
@@ -162,7 +164,7 @@ class TestMemoizedDistances:
         loop = next(lp for lp in livermore_kernels(MACHINE) if lp.ddg.nontrivial_sccs())
         SccDistanceTables.prime(loop)
         memo = loop.ddg._distance_memo
-        SccDistanceTables(loop, min_ii(loop, MACHINE), memo=True)
+        SccDistanceTables(loop, min_ii(loop, MACHINE))
         assert loop.ddg._distance_memo is memo
 
 

@@ -83,7 +83,8 @@ class TestAgreementThroughDriver:
     )
     def test_cross_check_trail_is_contradiction_free(self, loop):
         options = PortfolioOptions(
-            time_limit=5.0, cross_check=True, max_nodes=20_000, fallback=True
+            time_limit=5.0, backends="cp,ilp", cross_check=True,
+            max_nodes=20_000, fallback=True,
         )
         result = portfolio_pipeline_loop(loop, MACHINE, options)
         assert result.disagreements == []
@@ -99,8 +100,8 @@ class TestAgreementThroughDriver:
 
     def test_achieved_ii_probes_are_sat_and_checked(self):
         loop = livermore_kernels(MACHINE)[0]  # lk01_hydro
-        options = PortfolioOptions(time_limit=5.0, cross_check=True,
-                                   max_nodes=20_000)
+        options = PortfolioOptions(time_limit=5.0, backends="cp,ilp",
+                                   cross_check=True, max_nodes=20_000)
         result = portfolio_pipeline_loop(loop, MACHINE, options)
         assert result.success and not result.fallback_used
         achieved = [p for p in result.probes if p.ii == result.ii]
@@ -110,8 +111,8 @@ class TestAgreementThroughDriver:
 
     def test_optimality_means_every_smaller_ii_refuted(self):
         loop = livermore_kernels(MACHINE)[0]
-        options = PortfolioOptions(time_limit=5.0, cross_check=True,
-                                   max_nodes=20_000)
+        options = PortfolioOptions(time_limit=5.0, backends="cp,ilp",
+                                   cross_check=True, max_nodes=20_000)
         result = portfolio_pipeline_loop(loop, MACHINE, options)
         if result.optimal:
             for ii in range(result.min_ii, result.ii):

@@ -9,8 +9,9 @@ from repro.ir import LoopBuilder
 from repro.machine import single_issue
 from repro.portfolio import build_modulo_formulation, check_witness
 from repro.portfolio.answer import SAT, UNKNOWN, UNSAT, BackendAnswer
-from repro.portfolio.cp import default_order, solve_cp
+from repro.portfolio.cp import _Search, default_order, solve_cp
 from repro.portfolio.ilp_backend import solve_ilp
+from repro.workloads.livermore import livermore_kernels
 
 from .conftest import build_daxpy, build_divider, build_recurrence_chain, build_sdot
 
@@ -94,11 +95,18 @@ class TestCpBackend:
             if answer.answer == SAT:
                 assert check_witness(f, answer.times) == []
 
-    def test_explicit_order_override(self, machine, daxpy):
-        ii = min_ii(daxpy, machine)
-        f = build_modulo_formulation(daxpy, machine, ii)
-        answer = solve_cp(f, order=list(range(f.n_ops)))
+    def test_explicit_order_decides_when_fail_first_runs_out(self, machine):
+        # lk07_eos at MinII: fail-first needs 59 nodes, the identity order 34.
+        loop = next(lp for lp in livermore_kernels(machine) if lp.name == "lk07_eos")
+        f = build_modulo_formulation(loop, machine, min_ii(loop, machine))
+        identity = list(range(f.n_ops))
+        answer = solve_cp(f, max_nodes=40, orders={"identity": identity})
         assert answer.answer == SAT
+        assert answer.detail == "order=identity restarts=1"
+        assert answer.nodes == 40 + 34
+        alone = _Search(f, identity)
+        assert alone.run(40, None) == SAT
+        assert answer.times == dict(enumerate(alone.lo))
         assert check_witness(f, answer.times) == []
 
 

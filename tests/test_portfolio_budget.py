@@ -128,7 +128,8 @@ class TestWitnessVerdict:
             return check_witness(formulation, times)
 
         monkeypatch.setattr(driver, "check_witness", counting_check)
-        options = PortfolioOptions(time_limit=5.0, cross_check=True)
+        options = PortfolioOptions(time_limit=5.0, backends="cp,ilp",
+                                   cross_check=True)
         result = portfolio_pipeline_loop(daxpy, machine, options)
         sats = [p for p in result.probes if p.answer == SAT]
         assert sats and len(checked) == len(sats)
@@ -151,8 +152,8 @@ class TestWitnessVerdict:
 class TestDriverLevelAccounting:
     def test_total_solver_seconds_bounded_by_budget(self, machine):
         loop = build_sdot(machine)
-        options = PortfolioOptions(time_limit=2.0, cross_check=True,
-                                   max_nodes=20_000)
+        options = PortfolioOptions(time_limit=2.0, backends="cp,ilp",
+                                   cross_check=True, max_nodes=20_000)
         result = portfolio_pipeline_loop(loop, machine, options)
         # Sum of charged backend seconds can never exceed the per-loop
         # budget by more than the per-slice slack times the probe count.
@@ -164,7 +165,8 @@ class TestDriverLevelAccounting:
 
     def test_per_backend_seconds_sum_to_total(self, machine):
         loop = build_daxpy(machine)
-        options = PortfolioOptions(time_limit=2.0, cross_check=True)
+        options = PortfolioOptions(time_limit=2.0, backends="cp,ilp",
+                                   cross_check=True)
         result = portfolio_pipeline_loop(loop, machine, options)
         per_backend = result.stats.backend_seconds()
         assert set(per_backend) == {"cp", "ilp"}

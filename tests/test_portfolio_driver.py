@@ -51,7 +51,8 @@ class TestDriver:
     def test_effort_counters_recorded(self, machine, daxpy):
         with recording() as rec:
             portfolio_pipeline_loop(
-                daxpy, machine, PortfolioOptions(time_limit=5.0, cross_check=True)
+                daxpy, machine,
+                PortfolioOptions(time_limit=5.0, backends="cp,ilp", cross_check=True),
             )
             counters = dict(rec.counters)
         assert counters.get("portfolio.cp.sat", 0) >= 1
@@ -69,7 +70,8 @@ class TestExecIntegration:
         cell = Cell.make(
             "livermore:lk01_hydro",
             "portfolio",
-            {"time_limit": 5.0, "cross_check": True, "max_nodes": 20_000},
+            {"time_limit": 5.0, "backends": "cp,ilp", "cross_check": True,
+             "max_nodes": 20_000},
             seed=0, timeout=30.0, simulate=False, verify=True,
         )
         payload = execute_cell(cell.to_dict(), in_worker=False)
